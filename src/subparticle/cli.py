@@ -20,6 +20,7 @@ from .expr import EvalError, ParseError, eval_ast, parse
 from .hyperreal import Classification, InfiniteValueError
 from .ledger import Config, Ledger, LedgerError
 from .pipeline import IntegrityError, recompute_decoded, run_pipeline
+from .radix import rational_to_decimal
 
 EXIT_OK = 0
 EXIT_CORPUS_FAILURE = 1
@@ -120,11 +121,11 @@ def _cmd_eval(args) -> int:
     except EvalError as exc:
         return _fail(EXIT_INPUT_ERROR, _column_error(args.expr, exc.message, exc.offset))
     if isinstance(value, Fraction):
-        print(value)
+        print(rational_to_decimal(value))
     elif value.classify() is Classification.INFINITE:
         print(f"{value} (Infinite)")
     else:
-        print(f"{value} ({value.classify().value}, st={value.st()})")
+        print(f"{value} ({value.classify().value}, st={rational_to_decimal(value.st())})")
     return EXIT_OK
 
 

@@ -24,6 +24,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .hyperreal import Hyperreal
+from .radix import parse_decimal, to_decimal
 
 
 class ParseError(ValueError):
@@ -189,14 +190,17 @@ class _Parser:
             if self.peek().kind == "/":
                 self.advance()
                 den = self.expect("int", "expected integer denominator after '/'")
-                if int(den.text) == 0:
+                denominator = parse_decimal(den.text)
+                if denominator == 0:
                     raise ParseError("malformed rational: denominator must be positive", den.offset)
                 return ExprAst(
                     NodeKind.RAT_LIT,
-                    value=Fraction(int(token.text), int(den.text)),
+                    value=Fraction(parse_decimal(token.text), denominator),
                     span=(token.offset, den.end - token.offset),
                 )
-            return ExprAst(NodeKind.INT_LIT, value=int(token.text), span=(token.offset, len(token.text)))
+            return ExprAst(
+                NodeKind.INT_LIT, value=parse_decimal(token.text), span=(token.offset, len(token.text))
+            )
         if token.kind == "name":
             if token.text == "eps":
                 self.advance()
@@ -279,9 +283,9 @@ def pretty(ast: ExprAst) -> str:
     """Render a tree back to source form; reparsing rebuilds an identical tree."""
     kind = ast.kind
     if kind is NodeKind.INT_LIT:
-        return str(ast.value)
+        return to_decimal(ast.value)
     if kind is NodeKind.RAT_LIT:
-        return f"{ast.value.numerator}/{ast.value.denominator}"
+        return f"{to_decimal(ast.value.numerator)}/{to_decimal(ast.value.denominator)}"
     if kind is NodeKind.EPS:
         return "eps"
     if kind is NodeKind.GEN:

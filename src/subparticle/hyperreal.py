@@ -16,15 +16,19 @@ are pure, so instances may be shared freely between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Union
+
+from .radix import is_decimal, parse_decimal, rational_to_decimal, to_decimal
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 _ZERO = Fraction(0)
+_MAPPING_TYPES = (dict, MappingProxyType)  # checked by type() first: isinstance on an ABC is slow
 
 
 class BaseMismatchError(ValueError):
@@ -68,7 +72,8 @@ class Hyperreal:
             raise ValueError(f"base must be an integer >= 2, got {base!r}")
         clean: dict[int, Fraction] = {}
         if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
+            is_mapping = type(terms) in _MAPPING_TYPES or isinstance(terms, Mapping)
+            items = terms.items() if is_mapping else terms
             for exp, coeff in items:
                 if not isinstance(exp, int):
                     raise TypeError(f"exponent must be an integer, got {exp!r}")
@@ -233,7 +238,7 @@ class Hyperreal:
         """Wire form: ``[exponent, numerator, denominator]`` triples with the
         numerator and denominator as decimal strings, descending exponent."""
         return [
-            [exp, str(self._terms[exp].numerator), str(self._terms[exp].denominator)]
+            [exp, to_decimal(self._terms[exp].numerator), to_decimal(self._terms[exp].denominator)]
             for exp in sorted(self._terms, reverse=True)
         ]
 
@@ -250,11 +255,12 @@ class Hyperreal:
             if previous is not None and exp >= previous:
                 raise ValueError("triples must be in strictly descending exponent order")
             previous = exp
-            if not isinstance(num, str) or not _is_decimal(num, signed=True):
+            if not is_decimal(num, signed=True):
                 raise ValueError(f"triple numerator must be a decimal string, got {num!r}")
-            if not isinstance(den, str) or not _is_decimal(den, signed=False) or int(den) == 0:
+            denominator = parse_decimal(den) if is_decimal(den) else 0
+            if not denominator:
                 raise ValueError(f"triple denominator must be a positive decimal string, got {den!r}")
-            coeff = Fraction(int(num), int(den))
+            coeff = Fraction(parse_decimal(num, signed=True), denominator)
             if not coeff:
                 raise ValueError("zero coefficient in serialized value")
             terms[exp] = coeff
@@ -289,16 +295,11 @@ class Hyperreal:
 
 def _term_body(magnitude: Fraction, exp: int) -> str:
     if exp == 0:
-        return str(magnitude)
+        return rational_to_decimal(magnitude)
     symbol = "H" if exp > 0 else "eps"
     power = abs(exp)
     symbol_pow = symbol if power == 1 else f"{symbol}^{power}"
-    return symbol_pow if magnitude == 1 else f"{magnitude}*{symbol_pow}"
-
-
-def _is_decimal(text: str, signed: bool) -> bool:
-    body = text[1:] if signed and text.startswith("-") else text
-    return bool(body) and body.isascii() and body.isdigit()
+    return symbol_pow if magnitude == 1 else f"{rational_to_decimal(magnitude)}*{symbol_pow}"
 
 
 class Hypernatural:

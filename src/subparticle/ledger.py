@@ -11,18 +11,15 @@ triples in descending exponent order.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .codec import DEFAULT_ALPHABET
 from .engine import alternating_signs
 from .hyperreal import Hypernatural, Hyperreal
+from .radix import parse_decimal, parse_rational, rational_to_decimal, to_decimal
 
 LEDGER_VERSION = "1"
-
-_NATURAL_RE = re.compile(r"^(0|[1-9][0-9]*)$")
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 _CONFIG_KEYS = ("base", "dims", "alphabet", "bundle_coordinate", "quality_signs")
 _LEDGER_KEYS = (
@@ -130,8 +127,8 @@ class Ledger:
             "version": self.version,
             "config": self.config.to_dict(),
             "word": self.word,
-            "code": str(self.code),
-            "sequence_head": str(self.sequence_head),
+            "code": to_decimal(self.code),
+            "sequence_head": to_decimal(self.sequence_head),
             "lambda": {
                 "value": self.count.value.to_triples(),
                 "infinite": self.count.is_infinite,
@@ -140,7 +137,7 @@ class Ledger:
             "bundle_sign": "+" if self.bundle_sign == 1 else "-",
             "ultrasubparticle": [entry.to_triples() for entry in self.ultrasubparticle],
             "intermediate": [entry.to_triples() for entry in self.intermediate],
-            "realized": [str(entry) for entry in self.realized],
+            "realized": [rational_to_decimal(entry) for entry in self.realized],
             "decoded": self.decoded,
         }
 
@@ -205,9 +202,10 @@ class Ledger:
 
 
 def _parse_natural(value, field: str) -> int:
-    if not isinstance(value, str) or not _NATURAL_RE.match(value):
-        raise LedgerError(f"{field} must be a decimal string of a natural number, got {value!r}")
-    return int(value)
+    try:
+        return parse_decimal(value, canonical=True)
+    except ValueError:
+        raise LedgerError(f"{field} must be a decimal string of a natural number, got {value!r}") from None
 
 
 def _parse_count(value, base: int) -> Hypernatural:
@@ -239,11 +237,10 @@ def _parse_realized(value, config: Config) -> tuple[Fraction, ...]:
         raise LedgerError(f"realized must be a list of {config.dims} rational strings")
     realized = []
     for index, text in enumerate(value, start=1):
-        if not isinstance(text, str) or not _RATIONAL_RE.match(text):
-            raise LedgerError(f"invalid realized coordinate {index}: {text!r}")
-        if "/" in text and int(text.split("/")[1]) == 0:
-            raise LedgerError(f"invalid realized coordinate {index}: zero denominator")
-        realized.append(Fraction(text))
+        try:
+            realized.append(parse_rational(text))
+        except ValueError as exc:
+            raise LedgerError(f"invalid realized coordinate {index}: {exc}") from None
     if realized[0] != 0 or realized[1] != 0:
         raise LedgerError("realized naming and count entries must be zero")
     return tuple(realized)

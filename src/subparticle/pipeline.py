@@ -12,6 +12,7 @@ from .engine import (
 )
 from .hyperreal import lambda_for_code
 from .ledger import LEDGER_VERSION, Config, Ledger
+from .radix import rational_to_decimal
 
 
 class IntegrityError(ValueError):
@@ -63,6 +64,7 @@ def _recover_code(realized_coords, config: Config) -> int:
     value = realized_coords[config.bundle_coordinate - 1] * config.bundle_sign
     if value.denominator != 1 or value < 0:
         raise IntegrityError(
-            f"realized coordinate {config.bundle_coordinate} does not carry a natural number: {value}"
+            f"realized coordinate {config.bundle_coordinate} does not carry a natural number: "
+            f"{rational_to_decimal(value)}"
         )
     return int(value)

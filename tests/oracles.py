@@ -60,3 +60,45 @@ def random_hyperreal(rng, base=10, max_terms=4, exp_lo=-4, exp_hi=4, limit=10**6
 def random_word(rng, symbols, max_len):
     length = rng.randint(0, max_len)
     return "".join(rng.choice(symbols) for _ in range(length))
+
+
+def loop_encode(word, symbols):
+    """Word code by one multiply-add per symbol (the direct definition)."""
+    size = len(symbols)
+    code = 0
+    for symbol in word:
+        code = code * size + symbols.index(symbol) + 1
+    return code
+
+
+def loop_decode(code, symbols):
+    """Word of a code by peeling one bijective digit at a time."""
+    size = len(symbols)
+    out = []
+    n = code
+    while n > 0:
+        digit = (n - 1) % size + 1
+        out.append(symbols[digit - 1])
+        n = (n - digit) // size
+    return "".join(reversed(out))
+
+
+def divmod_decimal(n):
+    """Decimal string of an integer by repeated divmod by 10."""
+    if n == 0:
+        return "0"
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    digits = []
+    while n:
+        n, digit = divmod(n, 10)
+        digits.append("0123456789"[digit])
+    return sign + "".join(reversed(digits))
+
+
+def horner_decimal(text):
+    """Integer of a decimal string by one multiply-add per digit."""
+    sign, body = (-1, text[1:]) if text.startswith("-") else (1, text)
+    n = 0
+    for ch in body:
+        n = n * 10 + "0123456789".index(ch)
+    return sign * n

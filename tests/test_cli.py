@@ -2,13 +2,19 @@
 
 import json
 import random
+import sys
 
 import pytest
 
 from subparticle.cli import main
 from subparticle.codec import DEFAULT_ALPHABET
 
-from oracles import random_word
+from oracles import divmod_decimal, random_word
+
+
+def int_max_str_digits():
+    get = getattr(sys, "get_int_max_str_digits", None)  # absent before 3.10.7
+    return get() if get else None
 
 
 def run(capsys, *argv):
@@ -140,6 +146,18 @@ class TestRealize:
         code, _, err = run(capsys, "realize", "--ledger", str(target))
         assert code == 5
 
+    def test_ten_thousand_symbol_word_round_trips(self, capsys, tmp_path):
+        before = int_max_str_digits()
+        rng = random.Random(10_000)
+        word = "".join(rng.choice(DEFAULT_ALPHABET) for _ in range(10_000))
+        target = tmp_path / "ledger.json"
+        code, out, err = run(capsys, "encode", "--word", word, "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert len(json.loads(target.read_text(encoding="utf-8"))["code"]) > 14_000
+        code, out, err = run(capsys, "realize", "--ledger", str(target))
+        assert (code, out, err) == (0, word + "\n", "")
+        assert int_max_str_digits() == before
+
     def test_realize_recovers_every_encoded_word(self, capsys, tmp_path):
         rng = random.Random(88)
         target = tmp_path / "ledger.json"
@@ -189,6 +207,18 @@ class TestEval:
         code, _, err = run(capsys, "eval", "2^-1")
         assert code == 2
         assert "error at column 1" in err
+
+    def test_big_power_prints_exactly(self, capsys):
+        code, out, err = run(capsys, "eval", "2^20000")
+        assert (code, err) == (0, "")
+        assert out == divmod_decimal(2**20000) + " (FiniteAppreciable, st=" + divmod_decimal(2**20000) + ")\n"
+
+    def test_five_thousand_digit_literal_prints_exactly(self, capsys):
+        literal = "9" + "0123456789" * 500
+        code, out, err = run(capsys, "eval", f"st({literal} + eps)")
+        assert (code, out, err) == (0, literal + "\n", "")
+        code, out, err = run(capsys, "eval", f"{literal}*H")
+        assert (code, out, err) == (0, literal + "*H (Infinite)\n", "")
 
     def test_base_flag(self, capsys):
         code, out, _ = run(capsys, "eval", "st(7*H*eps)", "--base", "2")

@@ -4,18 +4,19 @@ import random
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subparticle.codec import (
     DEFAULT_ALPHABET,
+    LEAF,
     Alphabet,
     SymbolNotInAlphabetError,
     decode,
     encode,
 )
 
-from oracles import random_word, shortlex_words
+from oracles import loop_decode, loop_encode, random_word, shortlex_words
 
 SMALL = Alphabet("abcd")
 
@@ -103,3 +104,66 @@ def test_roundtrip_property(word):
 @given(st.integers(min_value=0, max_value=10**24))
 def test_inverse_property(n):
     assert encode(decode(n)) == n
+
+
+# Alphabet sizes: unary, the smallest bases, the default and one past 36.
+SIZES = (1, 2, 3, 27, 37)
+SYMBOLS = "abcdefghijklmnopqrstuvwxyz0123456789!"
+# Word lengths on both sides of the leaf size and of the first few levels
+# of the divide-and-conquer split.
+LENGTHS = sorted({0, 1, 2} | {LEAF * 2**k + d for k in range(4) for d in (-1, 0, 1)})
+
+
+def alphabet_of(size):
+    return Alphabet(SYMBOLS[:size])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SIZES), st.sampled_from(LENGTHS), st.randoms(use_true_random=False))
+def test_encode_matches_loop_reference(size, length, rng):
+    alphabet = alphabet_of(size)
+    word = "".join(rng.choice(alphabet.symbols) for _ in range(length))
+    code = encode(word, alphabet)
+    assert code == loop_encode(word, alphabet.symbols)
+    assert decode(code, alphabet) == word
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([s for s in SIZES if s > 1]),
+    st.sampled_from(LENGTHS),
+    st.sampled_from([-1, 0, 1, 2]),
+    st.randoms(use_true_random=False),
+)
+def test_decode_matches_loop_reference_near_length_boundaries(size, length, offset, rng):
+    # Codes of length-L words fill [R_L, R_{L+1}); probe both ends and inside.
+    start = (size**length - 1) // (size - 1)
+    end = (size ** (length + 1) - 1) // (size - 1)
+    for code in (start + offset, end + offset, rng.randrange(start, end)):
+        if code >= 0:
+            word = decode(code, alphabet_of(size))
+            assert word == loop_decode(code, alphabet_of(size).symbols)
+            assert encode(word, alphabet_of(size)) == code
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2000))
+def test_unary_decode_matches_loop_reference(code):
+    assert decode(code, alphabet_of(1)) == loop_decode(code, "a")
+
+
+def test_symbol_index_is_built_once_per_symbol_string():
+    alphabet = Alphabet("xyz")
+    assert alphabet._values == {"x": 1, "y": 2, "z": 3}
+    assert Alphabet("xyz")._values is alphabet._values
+    assert Alphabet("xyz") == alphabet
+    assert hash(Alphabet("xyz")) == hash(alphabet)
+    assert "_values" not in repr(alphabet)
+
+
+def test_long_word_reports_first_bad_symbol():
+    word = "a" * (5 * LEAF) + "é" + "Ω"
+    with pytest.raises(SymbolNotInAlphabetError) as info:
+        encode(word)
+    assert info.value.position == 5 * LEAF
+    assert info.value.symbol == "é"

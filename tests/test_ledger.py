@@ -1,12 +1,17 @@
 """Config and ledger serialization tests."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from subparticle.codec import DEFAULT_ALPHABET
 from subparticle.ledger import LEDGER_VERSION, Config, Ledger, LedgerError
 from subparticle.pipeline import IntegrityError, recompute_decoded, run_pipeline
+
+from oracles import divmod_decimal, random_word, shortlex_words
 
 
 class TestConfig:
@@ -208,3 +213,89 @@ def test_base_two_and_ten_ledgers_agree_on_visible_fields():
         assert two.decoded == ten.decoded
         assert two.to_dict()["code"] == ten.to_dict()["code"]
         assert two.to_dict()["realized"] == ten.to_dict()["realized"]
+
+
+# Where each decimal field sits in the ledger of "ab" (code 29); code and
+# sequence_head must agree, so they are set together.
+FIELD_PATHS = {
+    "code": [("code",), ("sequence_head",)],
+    "lambda_num": [("lambda", "value", 0, 1)],
+    "lambda_den": [("lambda", "value", 0, 2)],
+    "coord_num": [("intermediate", 2, 0, 1)],
+    "coord_den": [("intermediate", 2, 0, 2)],
+    "realized": [("realized", 2)],
+}
+# Whitespace, a trailing newline, "+", "_", non-ASCII digits and non-strings
+# are refused everywhere; leading zeros only where the field allowed them
+# before.  Every accepted string names the stored value, 29 or 1.
+_REFUSED = ["29\n", " 29", "29 ", "+29", "2_9", "٢٩", "２９", "", "29.0", None, 29]
+_DEN_REFUSED = ["1\n", " 1", "+1", "0", "00", "-1", "١", "1/1", "", None, 1]
+REFUSED = {
+    "code": _REFUSED + ["029", "-29", "29/1"],
+    "lambda_num": _REFUSED + ["29/1"],
+    "lambda_den": _DEN_REFUSED,
+    "coord_num": _REFUSED + ["29/1"],
+    "coord_den": _DEN_REFUSED,
+    "realized": _REFUSED + ["29/0", "29/-1", "29/1\n"],
+}
+ACCEPTED = {
+    "code": ["29"],
+    "lambda_num": ["29", "029"],
+    "lambda_den": ["1", "01"],
+    "coord_num": ["29", "029"],
+    "coord_den": ["1", "01"],
+    "realized": ["29", "029", "29/1", "58/2"],
+}
+FIELD_CASES = [(field, text, False) for field, texts in REFUSED.items() for text in texts] + [
+    (field, text, True) for field, texts in ACCEPTED.items() for text in texts
+]
+
+
+@pytest.mark.parametrize("field,text,accepted", FIELD_CASES, ids=[f"{f}-{t!r}" for f, t, _ in FIELD_CASES])
+def test_decimal_fields_accept_only_their_forms(field, text, accepted):
+    original = run_pipeline("ab")
+    data = original.to_dict()
+    for path in FIELD_PATHS[field]:
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = text
+    if accepted:
+        assert Ledger.from_dict(data) == original
+    else:
+        with pytest.raises(LedgerError):
+            Ledger.from_dict(data)
+
+
+# sha256 of the ledger JSON of the acceptance corpus, one ledger a line, as
+# the loop codec and str()-based serialization wrote it: ledger format v1
+# must stay byte-identical.
+CORPUS_LEDGER_SHA256 = "80eaa3e3c7b368f592f9f32a673d07776a212c7a8d399d3b79883d49ad9b1f62"
+
+
+def test_acceptance_corpus_ledgers_are_byte_identical():
+    digest = hashlib.sha256()
+    small = Config(alphabet="abcd")
+    for word in shortlex_words("abcd", 4):
+        digest.update(run_pipeline(word, small).to_json().encode() + b"\n")
+    rng = random.Random(424242)
+    big = [random_word(rng, DEFAULT_ALPHABET, 12) for _ in range(1000)]
+    for config in (Config(), Config(base=2, dims=32, bundle_coordinate=4)):
+        for word in big:
+            digest.update(run_pipeline(word, config).to_json().encode() + b"\n")
+    assert digest.hexdigest() == CORPUS_LEDGER_SHA256
+
+
+def test_long_word_ledger_round_trips():
+    rng = random.Random(9)
+    word = "".join(rng.choice(DEFAULT_ALPHABET) for _ in range(6000))
+    ledger = run_pipeline(word, Config(bundle_coordinate=4))
+    text = ledger.to_json()
+    data = json.loads(text)
+    assert data["code"] == divmod_decimal(ledger.code)
+    assert data["realized"][3] == divmod_decimal(-ledger.code)
+    loaded = Ledger.from_json(text)
+    assert loaded == ledger
+    assert recompute_decoded(loaded) == word
+    assert loaded.to_json() == text
