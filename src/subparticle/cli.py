@@ -20,7 +20,7 @@ from .expr import EvalError, ParseError, eval_ast, parse
 from .hyperreal import Classification, InfiniteValueError
 from .ledger import Config, Ledger, LedgerError
 from .pipeline import IntegrityError, recompute_decoded, run_pipeline
-from .radix import rational_to_decimal
+from .radix import brief, rational_to_decimal
 
 EXIT_OK = 0
 EXIT_CORPUS_FAILURE = 1
@@ -48,7 +48,7 @@ def _config_from_args(args) -> Config:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ValueError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or a number past the int-str limit
             raise ValueError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
@@ -88,7 +88,7 @@ def _cmd_encode(args) -> int:
 def _cmd_realize(args) -> int:
     try:
         text = Path(args.ledger).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_MALFORMED_LEDGER, f"cannot read ledger: {exc}")
     try:
         ledger = Ledger.from_json(text)
@@ -101,7 +101,7 @@ def _cmd_realize(args) -> int:
     if recomputed != ledger.decoded:
         return _fail(
             EXIT_INTEGRITY_FAILURE,
-            f"integrity failure: recomputed word {recomputed!r} disagrees with stored {ledger.decoded!r}",
+            f"integrity failure: recomputed word {brief(recomputed)} disagrees with stored {brief(ledger.decoded)}",
         )
     print(recomputed)
     return EXIT_OK
@@ -136,7 +136,7 @@ def _cmd_roundtrip(args) -> int:
         return _fail(EXIT_CONFIG_ERROR, f"config error: {exc}")
     try:
         words = Path(args.corpus).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read corpus: {exc}")
     failures = []
     for word in words:

@@ -89,10 +89,22 @@ def encode(word: str, alphabet: Alphabet | None = None) -> int:
     return radix.join(radix.leaves(digits, LEAF, lambda leaf: _horner(leaf, size)), size**LEAF)
 
 
+def word_length(code: int, alphabet: Alphabet | None = None) -> int:
+    """Length of the word ``decode`` gives for a code, without spelling it.
+
+    On a one-symbol alphabet that length is the code itself, so a caller
+    can refuse a word too long to build before ``decode`` tries.
+    """
+    _check_code(code)
+    alpha = alphabet if alphabet is not None else _DEFAULT
+    if alpha.size == 1:
+        return code
+    return _length(code, alpha.size, alpha._scaled_log)[0]
+
+
 def decode(code: int, alphabet: Alphabet | None = None) -> str:
     """Exact inverse of encode, defined on every natural number."""
-    if not isinstance(code, int) or code < 0:
-        raise ValueError(f"code must be a nonnegative integer, got {code!r}")
+    _check_code(code)
     alpha = alphabet if alphabet is not None else _DEFAULT
     size = alpha.size
     symbols = alpha.symbols
@@ -105,6 +117,11 @@ def decode(code: int, alphabet: Alphabet | None = None) -> str:
     chunks = radix.split(rest, size**LEAF, radix.levels_for(length, LEAF))
     text = "".join([_spell(chunk, LEAF, symbols) for chunk in chunks])
     return text[len(text) - length:]
+
+
+def _check_code(code) -> None:
+    if not isinstance(code, int) or code < 0:
+        raise ValueError(f"code must be a nonnegative integer, got {radix.brief(code)}")
 
 
 def _horner(digits, size: int) -> int:
@@ -126,6 +143,9 @@ def _spell(n: int, width: int, symbols: str) -> str:
     return "".join(out)
 
 
+# ``recompute_decoded`` asks for a code's length and then decodes it, and
+# for a long word the power below is the costly part of both.
+@lru_cache(maxsize=4)
 def _length(code: int, size: int, scaled_log: int) -> tuple[int, int]:
     """``(L, size**L)`` for the length L of the word with this code.
 

@@ -20,9 +20,9 @@ from fractions import Fraction
 
 from .hyperreal import (
     BaseMismatchError,
-    Classification,
     Hypernatural,
     Hyperreal,
+    InfiniteValueError,
     _as_fraction,
 )
 
@@ -83,10 +83,11 @@ class Ultrasubparticle:
 
     def coords(self) -> tuple[Hyperreal, ...]:
         eps = Hyperreal.epsilon(self.base)
+        signed = {1: eps, -1: -eps}  # values are immutable, so slots share them
         return (
             Hyperreal.from_rational(self.base, self.naming),
             Hyperreal.one(self.base),
-        ) + tuple(eps.scale(s) for s in self.signs)
+        ) + tuple([signed[s] for s in self.signs])
 
 
 @dataclass(frozen=True)
@@ -167,9 +168,10 @@ class RealizationMap:
             raise ValueError(f"dimension mismatch: map has {self.dims}, vector has {len(coords)}")
         realized = [Fraction(0), Fraction(0)]
         for index, entry in enumerate(coords[2:], start=3):
-            if entry.classify() is Classification.INFINITE:
-                raise InfiniteCoordinateError(index)
-            realized.append(entry.st())
+            try:
+                realized.append(entry.st())
+            except InfiniteValueError:
+                raise InfiniteCoordinateError(index) from None
         return tuple(realized)
 
 
@@ -250,7 +252,8 @@ def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, 
     ``times`` may be an int, a Hypernatural, or any Hyperreal count (one-shot
     translations subtract 1 from possibly infinite counts, which leaves
     natural-number form); for finite times the closed form equals the literal
-    iteration exactly, and times 0 is the identity.
+    iteration exactly, and times 0 is the identity.  Slots whose shift is
+    zero are passed through unchanged.
     """
     coords = tuple(coords)
     if len(coords) != step.dims:
@@ -267,11 +270,13 @@ def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, 
     for entry, shift in zip(coords, step.translation):
         if not isinstance(entry, Hyperreal):
             raise TypeError(f"coordinates must be Hyperreal, got {type(entry).__name__}")
-        out.append(entry + times * shift)
+        out.append(entry + times * shift if shift._terms else entry)
     return tuple(out)
 
 
-def bundle(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> IntermediateSubparticle:
+def bundle(
+    particle: Ultrasubparticle, coord: int, count: Hypernatural, coords: tuple[Hyperreal, ...] | None = None
+) -> IntermediateSubparticle:
     """Bundle ``count`` copies of the particle along one quality coordinate.
 
     A single application of the count-dependent translation leaves the count
@@ -279,6 +284,8 @@ def bundle(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> Inter
     ``count * (sign * eps)``, exactly the closed form of the count-fold sum
     of the signed infinitesimal; every other coordinate is untouched.  The
     degenerate count 0 (the empty word's code) zeroes both slots instead.
+    ``coords``, when given, must be ``particle.coords()``; a caller that
+    records those anyway need not have them computed twice.
     """
     _check_coord(coord, particle.dims)
     if count.base != particle.base:
@@ -290,7 +297,9 @@ def bundle(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> Inter
         step = AffineMap(particle.base, tuple(translation))
     else:
         step = make_lambda_translation(particle, coord, count)
-    return IntermediateSubparticle(particle.base, apply_translation_times(step, particle.coords(), 1))
+    if coords is None:
+        coords = particle.coords()
+    return IntermediateSubparticle(particle.base, apply_translation_times(step, coords, 1))
 
 
 def realize(subparticle: IntermediateSubparticle) -> RealizedVector:

@@ -13,7 +13,10 @@ tighter than ``*``; a negative exponent parses everywhere but evaluates
 only on a monomial body (eps, H, or a parenthesized monomial), and a
 negated base must be parenthesized: ``-2^2`` is ``-(2^2)`` while ``(-2)^2``
 squares.  There is no general division; ``/`` only forms rational literals
-such as ``3/4``.
+such as ``3/4``.  An exponent above ``MAX_EXPONENT`` in magnitude is a
+parse error, found from the token's length before it is converted.  That
+bounds the exponent, not the work: a many-term base raised to an allowed
+power can still take long.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ from fractions import Fraction
 
 from .hyperreal import Hyperreal
 from .radix import parse_decimal, to_decimal
+
+
+MAX_EXPONENT = 100_000
+_MAX_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 
 class ParseError(ValueError):
@@ -175,10 +182,13 @@ class _Parser:
                 self.advance()
                 sign = -1
             exp_token = self.expect("int", "expected integer exponent after '^'")
+            digits = exp_token.text.lstrip("0") or "0"
+            if len(digits) > _MAX_EXPONENT_DIGITS or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", exp_token.offset)
             node = ExprAst(
                 NodeKind.POW,
                 (node,),
-                value=sign * int(exp_token.text),
+                value=sign * int(digits),
                 span=_join(node.span, (exp_token.offset, len(exp_token.text))),
             )
         return node

@@ -22,12 +22,13 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Union
 
-from .radix import is_decimal, parse_decimal, rational_to_decimal, to_decimal
+from .radix import brief, is_decimal, parse_decimal, rational_to_decimal, to_decimal
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _MAPPING_TYPES = (dict, MappingProxyType)  # checked by type() first: isinstance on an ABC is slow
 
 
@@ -56,6 +57,16 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational (int or Fraction), got {type(value).__name__}")
 
 
+def _check_base(base) -> None:
+    if not isinstance(base, int) or base < 2:
+        raise ValueError(f"base must be an integer >= 2, got {base!r}")
+
+
+def _check_exponent(exp) -> None:
+    if not isinstance(exp, int):
+        raise TypeError(f"exponent must be an integer, got {exp!r}")
+
+
 class Hyperreal:
     """Finite Laurent combination in H = B**omega with rational coefficients.
 
@@ -68,15 +79,13 @@ class Hyperreal:
     __slots__ = ("_base", "_terms")
 
     def __init__(self, base: int, terms=None):
-        if not isinstance(base, int) or base < 2:
-            raise ValueError(f"base must be an integer >= 2, got {base!r}")
+        _check_base(base)
         clean: dict[int, Fraction] = {}
         if terms is not None:
             is_mapping = type(terms) in _MAPPING_TYPES or isinstance(terms, Mapping)
             items = terms.items() if is_mapping else terms
             for exp, coeff in items:
-                if not isinstance(exp, int):
-                    raise TypeError(f"exponent must be an integer, got {exp!r}")
+                _check_exponent(exp)
                 value = clean.get(exp, _ZERO) + _as_fraction(coeff)
                 if value:
                     clean[exp] = value
@@ -89,29 +98,33 @@ class Hyperreal:
 
     @classmethod
     def zero(cls, base: int) -> "Hyperreal":
-        return cls(base)
+        _check_base(base)
+        return _trusted(base, {})
 
     @classmethod
     def one(cls, base: int) -> "Hyperreal":
-        return cls(base, {0: 1})
+        return cls.monomial(base, _ONE, 0)
 
     @classmethod
     def from_rational(cls, base: int, value: RationalLike) -> "Hyperreal":
-        return cls(base, {0: value})
+        return cls.monomial(base, value, 0)
 
     @classmethod
     def monomial(cls, base: int, coeff: RationalLike, exp: int) -> "Hyperreal":
-        return cls(base, {exp: coeff})
+        _check_base(base)
+        _check_exponent(exp)
+        coeff = _as_fraction(coeff)
+        return _trusted(base, {exp: coeff} if coeff else {})
 
     @classmethod
     def generator(cls, base: int) -> "Hyperreal":
         """H = B**omega, the canonical infinite unit."""
-        return cls(base, {1: 1})
+        return cls.monomial(base, _ONE, 1)
 
     @classmethod
     def epsilon(cls, base: int) -> "Hyperreal":
         """eps = 1/B**omega, the canonical positive infinitesimal."""
-        return cls(base, {-1: 1})
+        return cls.monomial(base, _ONE, -1)
 
     # -- structure ----------------------------------------------------
 
@@ -133,7 +146,7 @@ class Hyperreal:
         return len(self._terms) == 1
 
     def is_finite(self) -> bool:
-        return all(exp <= 0 for exp in self._terms)
+        return max(self._terms, default=0) <= 0
 
     # -- arithmetic ---------------------------------------------------
 
@@ -145,7 +158,8 @@ class Hyperreal:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return Hyperreal.from_rational(self._base, other)
+            other = _as_fraction(other)
+            return _trusted(self._base, {0: other} if other else {})
         return None
 
     def __add__(self, other):
@@ -154,13 +168,20 @@ class Hyperreal:
             return NotImplemented
         merged = dict(self._terms)
         for exp, coeff in rhs._terms.items():
-            merged[exp] = merged.get(exp, _ZERO) + coeff
-        return Hyperreal(self._base, merged)
+            if exp in merged:
+                value = merged[exp] + coeff
+                if value:
+                    merged[exp] = value
+                else:
+                    del merged[exp]
+            else:
+                merged[exp] = coeff
+        return _trusted(self._base, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Hyperreal(self._base, {exp: -coeff for exp, coeff in self._terms.items()})
+        return _trusted(self._base, {exp: -coeff for exp, coeff in self._terms.items()})
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -178,11 +199,23 @@ class Hyperreal:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        right = rhs._terms.items()
+        if len(right) == 1:  # a monomial factor: exponents stay distinct, nothing cancels
+            ((ey, cy),) = right
+            return _trusted(self._base, {ex + ey: cx * cy for ex, cx in self._terms.items()})
         acc: dict[int, Fraction] = {}
         for ex, cx in self._terms.items():
-            for ey, cy in rhs._terms.items():
-                acc[ex + ey] = acc.get(ex + ey, _ZERO) + cx * cy
-        return Hyperreal(self._base, acc)
+            for ey, cy in right:
+                exp = ex + ey
+                if exp in acc:
+                    value = acc[exp] + cx * cy
+                    if value:
+                        acc[exp] = value
+                    else:
+                        del acc[exp]
+                else:
+                    acc[exp] = cx * cy
+        return _trusted(self._base, acc)
 
     __rmul__ = __mul__
 
@@ -204,14 +237,20 @@ class Hyperreal:
 
     def scale(self, factor: RationalLike) -> "Hyperreal":
         """Multiply every coefficient by an exact rational factor."""
-        return self * _as_fraction(factor)
+        factor = _as_fraction(factor)
+        if factor == 1:
+            return self
+        if factor == -1:
+            return -self
+        return self * factor
 
     def monomial_div(self, divisor: RationalLike, exp: int) -> "Hyperreal":
         """Exact division by the single monomial ``divisor * H**exp``."""
         d = _as_fraction(divisor)
         if not d:
             raise ZeroDivisionError("division by a zero monomial coefficient")
-        return Hyperreal(self._base, {e - exp: c / d for e, c in self._terms.items()})
+        _check_exponent(exp)
+        return _trusted(self._base, {e - exp: c / d for e, c in self._terms.items()})
 
     # -- standard part and classification ------------------------------
 
@@ -244,27 +283,30 @@ class Hyperreal:
 
     @classmethod
     def from_triples(cls, base: int, triples: Iterable) -> "Hyperreal":
+        _check_base(base)
         terms: dict[int, Fraction] = {}
         previous = None
         for item in triples:
             if not isinstance(item, (list, tuple)) or len(item) != 3:
-                raise ValueError(f"expected an [exponent, numerator, denominator] triple, got {item!r}")
+                raise ValueError(f"expected an [exponent, numerator, denominator] triple, got {brief(item)}")
             exp, num, den = item
             if not isinstance(exp, int) or isinstance(exp, bool):
-                raise ValueError(f"triple exponent must be an integer, got {exp!r}")
+                raise ValueError(f"triple exponent must be an integer, got {brief(exp)}")
             if previous is not None and exp >= previous:
                 raise ValueError("triples must be in strictly descending exponent order")
             previous = exp
-            if not is_decimal(num, signed=True):
-                raise ValueError(f"triple numerator must be a decimal string, got {num!r}")
+            try:
+                numerator = parse_decimal(num, signed=True)
+            except ValueError:
+                raise ValueError(f"triple numerator must be a decimal string, got {brief(num)}") from None
             denominator = parse_decimal(den) if is_decimal(den) else 0
             if not denominator:
-                raise ValueError(f"triple denominator must be a positive decimal string, got {den!r}")
-            coeff = Fraction(parse_decimal(num, signed=True), denominator)
+                raise ValueError(f"triple denominator must be a positive decimal string, got {brief(den)}")
+            coeff = Fraction(numerator, denominator)
             if not coeff:
                 raise ValueError("zero coefficient in serialized value")
             terms[exp] = coeff
-        return cls(base, terms)
+        return _trusted(base, terms)
 
     # -- object protocol -------------------------------------------------
 
@@ -293,6 +335,16 @@ class Hyperreal:
         return "".join(parts)
 
 
+def _trusted(base: int, terms: dict) -> Hyperreal:
+    """A Hyperreal over a term map the caller already holds in normal form:
+    a valid base, int exponents and nonzero Fraction coefficients.  The map
+    is owned by the new value from here on, and nothing is checked."""
+    value = object.__new__(Hyperreal)
+    value._base = base
+    value._terms = terms
+    return value
+
+
 def _term_body(magnitude: Fraction, exp: int) -> str:
     if exp == 0:
         return rational_to_decimal(magnitude)
@@ -318,7 +370,7 @@ class Hypernatural:
     def __init__(self, value: Hyperreal):
         if not isinstance(value, Hyperreal):
             raise TypeError(f"expected a Hyperreal, got {type(value).__name__}")
-        for exp, coeff in value.terms.items():
+        for exp, coeff in value._terms.items():
             if exp < 0:
                 raise ValueError("a hypernatural cannot carry negative powers of H")
             if coeff.denominator != 1 or coeff < 0:

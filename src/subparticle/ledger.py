@@ -11,13 +11,14 @@ triples in descending exponent order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .codec import DEFAULT_ALPHABET
 from .engine import alternating_signs
 from .hyperreal import Hypernatural, Hyperreal
-from .radix import parse_decimal, parse_rational, rational_to_decimal, to_decimal
+from .radix import brief, parse_decimal, parse_rational, rational_to_decimal, to_decimal
 
 LEDGER_VERSION = "1"
 
@@ -44,42 +45,45 @@ class LedgerError(ValueError):
 @dataclass(frozen=True)
 class Config:
     """Pipeline settings.  The alphabet order and the sign layout define the
-    code, so both are recorded verbatim in every ledger."""
+    code, so both are recorded verbatim in every ledger.  ``signs`` is
+    ``quality_signs`` parsed once into +1/-1 entries."""
 
     base: int = 10
     dims: int = 8
     alphabet: str = DEFAULT_ALPHABET
     bundle_coordinate: int = 3
     quality_signs: str = ""
+    signs: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.base, int) or self.base < 2:
-            raise ValueError(f"base must be an integer >= 2, got {self.base!r}")
+            raise ValueError(f"base must be an integer >= 2, got {brief(self.base)}")
         if not isinstance(self.dims, int) or self.dims < 3:
-            raise ValueError(f"dims must be an integer >= 3, got {self.dims!r}")
+            raise ValueError(f"dims must be an integer >= 3, got {brief(self.dims)}")
         if not isinstance(self.alphabet, str) or not self.alphabet:
             raise ValueError("alphabet must be a nonempty string")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet symbols must be distinct")
         if not isinstance(self.bundle_coordinate, int) or not 3 <= self.bundle_coordinate <= self.dims:
             raise ValueError(
-                f"bundle_coordinate must be in 3..{self.dims}, got {self.bundle_coordinate!r}"
+                f"bundle_coordinate must be in 3..{brief(self.dims)}, got {brief(self.bundle_coordinate)}"
             )
-        signs = self.quality_signs
-        if not signs:
-            signs = "".join("+" if s == 1 else "-" for s in alternating_signs(self.dims))
-            object.__setattr__(self, "quality_signs", signs)
-        if not isinstance(signs, str) or len(signs) != self.dims - 2 or set(signs) - set("+-"):
+        text = self.quality_signs
+        if not text:
+            signs = alternating_signs(self.dims)
+            text = "".join("+" if s == 1 else "-" for s in signs)
+            object.__setattr__(self, "quality_signs", text)
+        elif isinstance(text, str) and len(text) == self.dims - 2 and not set(text) - set("+-"):
+            signs = tuple(1 if ch == "+" else -1 for ch in text)
+        else:
             raise ValueError(
-                f"quality_signs must be a +/- string of length dims-2 ({self.dims - 2}), got {signs!r}"
+                f"quality_signs must be a +/- string of length dims-2 ({brief(self.dims - 2)}), got {brief(text)}"
             )
-
-    def signs_tuple(self) -> tuple[int, ...]:
-        return tuple(1 if ch == "+" else -1 for ch in self.quality_signs)
+        object.__setattr__(self, "signs", signs)
 
     @property
     def bundle_sign(self) -> int:
-        return self.signs_tuple()[self.bundle_coordinate - 3]
+        return self.signs[self.bundle_coordinate - 3]
 
     def to_dict(self) -> dict:
         return {
@@ -142,7 +146,11 @@ class Ledger:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """The ledger document, laid out byte for byte as
+        ``json.dumps(self.to_dict(), indent=2)`` lays it out."""
+        out: list[str] = []
+        _emit(self.to_dict(), "\n", out)
+        return "".join(out)
 
     @classmethod
     def from_dict(cls, data) -> "Ledger":
@@ -155,7 +163,7 @@ class Ledger:
         if unknown:
             raise LedgerError(f"unknown ledger field(s): {sorted(unknown)}")
         if data["version"] != LEDGER_VERSION:
-            raise LedgerError(f"unsupported ledger version {data['version']!r}")
+            raise LedgerError(f"unsupported ledger version {brief(data['version'])}")
         try:
             config = Config.from_dict(data["config"])
         except (TypeError, ValueError) as exc:
@@ -171,7 +179,7 @@ class Ledger:
         count = _parse_count(data["lambda"], config.base)
         sign_text = data["bundle_sign"]
         if sign_text not in ("+", "-"):
-            raise LedgerError(f"bundle_sign must be '+' or '-', got {sign_text!r}")
+            raise LedgerError(f"bundle_sign must be '+' or '-', got {brief(sign_text)}")
         bundle_sign = 1 if sign_text == "+" else -1
         if bundle_sign != config.bundle_sign:
             raise LedgerError("bundle_sign disagrees with the config quality_signs")
@@ -196,16 +204,59 @@ class Ledger:
     def from_json(cls, text: str) -> "Ledger":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or a number past the int-str limit
             raise LedgerError(f"not valid JSON: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _emit(value, newline: str, out: list) -> None:
+    """Append the JSON text of a tree of str, int, bool, list and dict to
+    ``out``, as ``json.dumps(value, indent=2)`` writes it.  ``newline`` is
+    a line break followed by the indentation of the current depth."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        opening = "[" + inner
+        for item in value:
+            out.append(opening)
+            opening = "," + inner
+            # Most items of a ledger list are the strings and ints of a
+            # triple: write those here rather than one call deeper.
+            if type(item) is str:
+                out.append(encode_basestring_ascii(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _emit(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key, item in value.items():
+            out.append(f"{opening}{encode_basestring_ascii(key)}: ")
+            opening = "," + inner
+            _emit(item, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} to a ledger")
 
 
 def _parse_natural(value, field: str) -> int:
     try:
         return parse_decimal(value, canonical=True)
     except ValueError:
-        raise LedgerError(f"{field} must be a decimal string of a natural number, got {value!r}") from None
+        raise LedgerError(f"{field} must be a decimal string of a natural number, got {brief(value)}") from None
 
 
 def _parse_count(value, base: int) -> Hypernatural:

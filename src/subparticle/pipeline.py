@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .codec import Alphabet, decode, encode
+from .codec import Alphabet, decode, encode, word_length
 from .engine import (
     InfiniteCoordinateError,
     IntermediateSubparticle,
@@ -12,7 +12,7 @@ from .engine import (
 )
 from .hyperreal import lambda_for_code
 from .ledger import LEDGER_VERSION, Config, Ledger
-from .radix import rational_to_decimal
+from .radix import brief, rational_to_decimal
 
 
 class IntegrityError(ValueError):
@@ -25,8 +25,9 @@ def run_pipeline(word: str, config: Config | None = None) -> Ledger:
     alphabet = Alphabet(config.alphabet)
     code = encode(word, alphabet)
     count = lambda_for_code(code, config.base)
-    particle = Ultrasubparticle(config.base, config.dims, naming=0, signs=config.signs_tuple())
-    intermediate = bundle(particle, config.bundle_coordinate, count)
+    particle = Ultrasubparticle(config.base, config.dims, naming=0, signs=config.signs)
+    coords = particle.coords()
+    intermediate = bundle(particle, config.bundle_coordinate, count, coords)
     realized = realize(intermediate)
     decoded = decode(_recover_code(realized.coords, config), alphabet)
     return Ledger(
@@ -37,7 +38,7 @@ def run_pipeline(word: str, config: Config | None = None) -> Ledger:
         sequence_head=code,
         count=count,
         bundle_sign=config.bundle_sign,
-        ultrasubparticle=particle.coords(),
+        ultrasubparticle=coords,
         intermediate=intermediate.coords,
         realized=realized.coords,
         decoded=decoded,
@@ -49,7 +50,9 @@ def recompute_decoded(ledger: Ledger) -> str:
 
     Nothing downstream of ``intermediate`` is trusted: realization and
     decoding are recomputed, so the ledger serves as checkable evidence
-    rather than a claim.
+    rather than a claim.  A recomputed code whose word would differ in
+    length from the stored ``decoded`` is refused before that word is
+    built, so a tampered code never makes a word longer than the ledger's.
     """
     config = ledger.config
     try:
@@ -57,7 +60,15 @@ def recompute_decoded(ledger: Ledger) -> str:
         realized = realize(intermediate)
     except (ValueError, InfiniteCoordinateError) as exc:
         raise IntegrityError(f"stored intermediate cannot be realized: {exc}") from exc
-    return decode(_recover_code(realized.coords, config), Alphabet(config.alphabet))
+    code = _recover_code(realized.coords, config)
+    alphabet = Alphabet(config.alphabet)
+    length = word_length(code, alphabet)
+    if length != len(ledger.decoded):
+        raise IntegrityError(
+            f"recomputed code names a word of {brief(length)} symbols, "
+            f"but the stored decoded word has {len(ledger.decoded)}"
+        )
+    return decode(code, alphabet)
 
 
 def _recover_code(realized_coords, config: Config) -> int:
@@ -65,6 +76,6 @@ def _recover_code(realized_coords, config: Config) -> int:
     if value.denominator != 1 or value < 0:
         raise IntegrityError(
             f"realized coordinate {config.bundle_coordinate} does not carry a natural number: "
-            f"{rational_to_decimal(value)}"
+            f"{brief(rational_to_decimal(value))}"
         )
     return int(value)

@@ -151,7 +151,7 @@ def parse_decimal(text, signed: bool = False, canonical: bool = False) -> int:
     """The integer a decimal string names; ``ValueError`` unless
     ``is_decimal(text, signed, canonical)``."""
     if not is_decimal(text, signed, canonical):
-        raise ValueError(f"not a decimal string: {text!r}")
+        raise ValueError(f"not a decimal string: {brief(text)}")
     if len(text) <= DECIMAL_LEAF:
         return int(text)
     if text[0] == "-":
@@ -172,5 +172,19 @@ def parse_rational(text) -> Fraction:
         return Fraction(numerator)
     denominator = parse_decimal(den)
     if not denominator:
-        raise ValueError(f"zero denominator: {text!r}")
+        raise ValueError(f"zero denominator: {brief(text)}")
     return Fraction(numerator, denominator)
+
+
+# Longest quoted input an error message repeats in full.
+BRIEF_LIMIT = 40
+
+
+def brief(value) -> str:
+    """``repr(value)`` for an error message, cut to its first ``BRIEF_LIMIT``
+    characters plus the total length when it is longer, so that a huge
+    input never makes a huge message."""
+    if isinstance(value, str) and len(value) > BRIEF_LIMIT:
+        return f"{value[:BRIEF_LIMIT]!r}... ({len(value)} characters)"
+    text = to_decimal(value) if type(value) is int else repr(value)
+    return text if len(text) <= BRIEF_LIMIT else f"{text[:BRIEF_LIMIT]}... ({len(text)} characters)"

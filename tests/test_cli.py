@@ -83,6 +83,13 @@ class TestEncode:
         assert code == 3
         assert "unknown config key" in err
 
+    def test_config_file_number_past_the_int_str_limit(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"dims": ' + "1" * 5000 + "}", encoding="utf-8")
+        code, _, err = run(capsys, "encode", "--word", "a", "--config", str(config))
+        assert code == 3
+        assert err.startswith("config error: config file is not valid JSON")
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "encode", "--word", "a", "--config", "/nonexistent.json")
         assert code == 3
@@ -158,6 +165,50 @@ class TestRealize:
         assert (code, out, err) == (0, word + "\n", "")
         assert int_max_str_digits() == before
 
+    def test_unary_ledger_with_a_huge_code_is_an_integrity_failure(self, capsys, tmp_path):
+        # The code names a word of 10^30 symbols; it must be refused from its
+        # length alone, before any symbol is spelled.
+        target = tmp_path / "ledger.json"
+        assert main(["encode", "--word", "x", "--alphabet", "x", "--out", str(target)]) == 0
+        capsys.readouterr()
+        data = json.loads(target.read_text(encoding="utf-8"))
+        code = str(10**30)
+        data["code"] = data["sequence_head"] = data["realized"][2] = code
+        data["lambda"]["value"] = data["intermediate"][1] = [[1, code, "1"]]
+        data["intermediate"][2] = [[0, code, "1"]]
+        target.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "realize", "--ledger", str(target))
+        assert (code, out) == (5, "")
+        assert err == (
+            f"integrity failure: recomputed code names a word of {10**30} symbols, "
+            "but the stored decoded word has 1\n"
+        )
+
+    def test_huge_malformed_field_gives_a_short_message(self, capsys, tmp_path):
+        target = self.encode_to(capsys, tmp_path, "ab")
+        data = json.loads(target.read_text(encoding="utf-8"))
+        data["code"] = "0" + "1" * 20000
+        target.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "realize", "--ledger", str(target))
+        assert (code, out) == (4, "")
+        assert len(err.encode()) < 512
+        assert "(20001 characters)" in err
+
+    def test_number_past_the_int_str_limit_is_a_malformed_ledger(self, capsys, tmp_path):
+        target = self.encode_to(capsys, tmp_path, "ab")
+        text = target.read_text(encoding="utf-8").replace('"version": "1"', '"version": ' + "1" * 5000)
+        target.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "realize", "--ledger", str(target))
+        assert (code, out) == (4, "")
+        assert err.startswith("malformed ledger: not valid JSON")
+
+    def test_undecodable_ledger_file(self, capsys, tmp_path):
+        target = tmp_path / "ledger.json"
+        target.write_bytes(b"\xff\xfe{")
+        code, _, err = run(capsys, "realize", "--ledger", str(target))
+        assert code == 4
+        assert "cannot read ledger" in err
+
     def test_realize_recovers_every_encoded_word(self, capsys, tmp_path):
         rng = random.Random(88)
         target = tmp_path / "ledger.json"
@@ -213,6 +264,16 @@ class TestEval:
         assert (code, err) == (0, "")
         assert out == divmod_decimal(2**20000) + " (FiniteAppreciable, st=" + divmod_decimal(2**20000) + ")\n"
 
+    def test_five_thousand_digit_exponent_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "eval", "2^" + "1" * 5000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error at column 3: exponent exceeds the limit of 100000\n")
+
+    def test_exponent_just_past_the_limit_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "eval", "eps^-100001")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == "error at column 6: exponent exceeds the limit of 100000"
+
     def test_five_thousand_digit_literal_prints_exactly(self, capsys):
         literal = "9" + "0123456789" * 500
         code, out, err = run(capsys, "eval", f"st({literal} + eps)")
@@ -264,6 +325,13 @@ class TestRoundtrip:
     def test_missing_corpus(self, capsys):
         code, _, err = run(capsys, "roundtrip", "--corpus", "/nonexistent.txt")
         assert code == 2
+
+    def test_undecodable_corpus(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"ab\n\xff\n")
+        code, _, err = run(capsys, "roundtrip", "--corpus", str(corpus))
+        assert code == 2
+        assert "cannot read corpus" in err
 
     def test_config_flags_apply(self, capsys, tmp_path):
         corpus = self.write_corpus(tmp_path, ["abba", "baab"])

@@ -14,6 +14,7 @@ from subparticle.codec import (
     SymbolNotInAlphabetError,
     decode,
     encode,
+    word_length,
 )
 
 from oracles import loop_decode, loop_encode, random_word, shortlex_words
@@ -167,3 +168,17 @@ def test_long_word_reports_first_bad_symbol():
         encode(word)
     assert info.value.position == 5 * LEAF
     assert info.value.symbol == "é"
+
+
+@given(st.integers(min_value=0, max_value=10**200), st.sampled_from(["x", "ab", "abc", DEFAULT_ALPHABET]))
+def test_word_length_is_the_length_of_the_decoded_word(code, symbols):
+    alphabet = Alphabet(symbols)
+    if len(symbols) == 1:
+        code %= 5000  # a unary word is as long as its code
+    assert word_length(code, alphabet) == len(decode(code, alphabet))
+
+
+def test_word_length_of_a_unary_code_needs_no_word():
+    assert word_length(10**30, Alphabet("x")) == 10**30
+    with pytest.raises(ValueError):
+        word_length(-1)

@@ -210,6 +210,18 @@ class TestBundle:
         with pytest.raises(BaseMismatchError):
             bundle(U4, 3, lambda_for_code(1, 2))
 
+    def test_given_coords_give_the_same_bundle(self):
+        particle = Ultrasubparticle(2, 32, signs=tuple(random.Random(5).choice((1, -1)) for _ in range(30)))
+        for code in (0, 1, 2, 999):
+            count = lambda_for_code(code, 2)
+            assert bundle(particle, 4, count, particle.coords()) == bundle(particle, 4, count)
+
+    def test_untranslated_slots_are_passed_through(self):
+        source = U4.coords()
+        got = bundle(U4, 3, lambda_for_code(29, 10), source)
+        assert got.coords[0] is source[0] and got.coords[3] is source[3]
+        assert got.coords[2] == hr({0: 29})
+
 
 class TestIntermediateSubparticle:
     def test_count_slot_must_be_natural_formed(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from subparticle.expr import (
+    MAX_EXPONENT,
     EvalError,
     NodeKind,
     ParseError,
@@ -135,3 +136,21 @@ class TestAst:
 
     def test_span_ignored_by_equality(self):
         assert parse("1+2") == parse("1 + 2")
+
+
+@pytest.mark.parametrize(
+    "source, offset",
+    [("2^100001", 2), ("H^-100001", 3), ("(1+eps)^" + "9" * 40, 8), ("2^" + "1" * 5000, 2)],
+)
+def test_exponent_above_the_limit_is_a_parse_error_at_its_token(source, offset):
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert info.value.offset == offset
+    assert info.value.message == f"exponent exceeds the limit of {MAX_EXPONENT}"
+
+
+def test_exponent_at_the_limit_parses():
+    assert parse(f"H^{MAX_EXPONENT}").value == MAX_EXPONENT
+    assert parse(f"eps^-{MAX_EXPONENT}").value == -MAX_EXPONENT
+    assert parse("2^" + "0" * 5000 + "7").value == 7  # leading zeros do not count
+    assert eval_ast(parse(f"eps^-{MAX_EXPONENT}"), 10) == Hyperreal.monomial(10, 1, MAX_EXPONENT)

@@ -353,3 +353,90 @@ def test_canonical_after_operations(xs, ys):
 def test_sub_self_is_zero(xs):
     x = Hyperreal(10, xs)
     assert (x - x).is_zero()
+
+
+# -- operation results skip validation: check their normal form ---------------
+#
+# Arithmetic results are built without the public constructor's checks, so
+# structural __eq__ and __hash__ are only sound if every result is already
+# in the form that constructor would give: Fraction coefficients, none zero.
+
+
+def assert_normal_form(result):
+    assert result == Hyperreal(result.base, dict(result.terms))
+    assert hash(result) == hash(Hyperreal(result.base, dict(result.terms)))
+    assert_canonical(result)
+    assert all(type(coeff) is Fraction for coeff in result.terms.values())
+
+
+operand_pairs = st.randoms(use_true_random=False).map(
+    lambda rng: (random_hyperreal(rng, limit=50), random_hyperreal(rng, limit=50))
+)
+
+
+@given(operand_pairs, st.integers(min_value=-3, max_value=3), st.integers(min_value=-4, max_value=4))
+def test_operation_results_are_in_normal_form(pair, factor, exp):
+    x, y = pair
+    results = [x + y, x - y, -x, x * y, x ** 3, x.scale(factor), x.scale(F(factor, 7))]
+    results += [x + factor, factor - x, factor * x, x.monomial_div(F(3, 2), exp), x.monomial_div(-1, exp)]
+    results.append(Hyperreal.from_triples(x.base, x.to_triples()))
+    for result in results:
+        assert_normal_form(result)
+    assert dict((x * y).terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
+    assert x - x == Hyperreal.zero(10) and not (x - x).terms
+
+
+@given(operand_pairs)
+def test_cancelling_sums_and_products_drop_their_terms(pair):
+    x, y = pair
+    assert_normal_form(x + (-x))
+    assert (x + (-x)).is_zero()
+    # (x + y)(x - y) = x^2 - y^2 cancels the cross terms.
+    product = (x + y) * (x - y)
+    assert_normal_form(product)
+    assert product == x * x - y * y
+
+
+def test_scale_by_one_and_minus_one():
+    x = hr({0: 2, -1: F(1, 3)})
+    assert x.scale(1) is x
+    assert x.scale(-1) == -x
+    assert x.scale(F(-2, 2)) == -x
+
+
+def test_named_constructors_keep_their_checks():
+    for make in (Hyperreal.zero, Hyperreal.one, Hyperreal.generator, Hyperreal.epsilon):
+        with pytest.raises(ValueError):
+            make(1)
+    with pytest.raises(ValueError):
+        Hyperreal.from_rational(1, 3)
+    with pytest.raises(TypeError):
+        Hyperreal.from_rational(10, 0.5)
+    with pytest.raises(TypeError):
+        Hyperreal.monomial(10, 1, 1.0)
+    with pytest.raises(TypeError):
+        Hyperreal.monomial(10, 0.5, 1)
+    with pytest.raises(ValueError):
+        Hyperreal.from_triples(1, [[0, "1", "1"]])
+    with pytest.raises(TypeError):
+        hr({0: 1}).monomial_div(1, 0.5)
+    assert Hyperreal.monomial(10, 0, 3).is_zero()
+    assert Hyperreal.from_rational(10, 0).is_zero()
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(TypeError):
+        Hyperreal(10, {0.5: 1})
+    with pytest.raises(TypeError):
+        Hyperreal(10, {0: 1.5})
+    with pytest.raises(ValueError):
+        Hyperreal(True, {0: 1})
+    with pytest.raises(ValueError):
+        Hyperreal("10", {0: 1})
+
+
+def test_error_messages_quote_huge_values_briefly():
+    with pytest.raises(ValueError) as info:
+        Hyperreal.from_triples(10, [[0, "1" * 20000 + "x", "1"]])
+    assert len(str(info.value)) < 200
+    assert "20001 characters" in str(info.value)

@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subparticle.codec import DEFAULT_ALPHABET
-from subparticle.ledger import LEDGER_VERSION, Config, Ledger, LedgerError
+from subparticle.ledger import LEDGER_VERSION, Config, Ledger, LedgerError, _emit
 from subparticle.pipeline import IntegrityError, recompute_decoded, run_pipeline
 
 from oracles import divmod_decimal, random_word, shortlex_words
@@ -26,6 +28,15 @@ class TestConfig:
     def test_signs_derived_for_custom_dims(self):
         assert Config(dims=3).quality_signs == "+"
         assert Config(dims=5).quality_signs == "+-+"
+
+    def test_sign_tuple_is_parsed_once_from_the_string(self):
+        config = Config(dims=6, quality_signs="--++")
+        assert config.signs == (-1, -1, 1, 1)
+        assert config.bundle_sign == -1
+        assert Config().signs == (1, -1, 1, -1, 1, -1)
+        # The parsed tuple is derived, so it takes no part in equality.
+        assert Config(dims=5) == Config(dims=5, quality_signs="+-+")
+        assert "signs=(" not in repr(Config())
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -299,3 +310,58 @@ def test_long_word_ledger_round_trips():
     assert loaded == ledger
     assert recompute_decoded(loaded) == word
     assert loaded.to_json() == text
+
+
+json_trees = st.recursive(
+    st.booleans() | st.integers(min_value=-(10**30), max_value=10**30) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
+def emitted(value):
+    out = []
+    _emit(value, "\n", out)
+    return "".join(out)
+
+
+@given(json_trees)
+def test_emitter_matches_json_dumps_indent_2(tree):
+    assert emitted(tree) == json.dumps(tree, indent=2)
+
+
+def test_emitter_matches_json_dumps_on_every_ledger_shape():
+    ledgers = [run_pipeline(word, config) for word in ("", "a", "zebra crossing")
+               for config in (Config(), Config(base=2, dims=32, bundle_coordinate=4), Config(dims=3))]
+    ledgers.append(run_pipeline("\u00e9\U0001f600\"\\\n", Config(alphabet="\u00e9\U0001f600\"\\\n")))
+    for ledger in ledgers:
+        assert ledger.to_json() == json.dumps(ledger.to_dict(), indent=2)
+
+
+def test_emitter_refuses_other_types():
+    for value in (1.5, None, (1, 2)):
+        with pytest.raises(TypeError):
+            emitted(value)
+
+
+def test_number_past_the_int_str_limit_is_a_malformed_ledger():
+    text = run_pipeline("ab").to_json().replace('"version": "1"', '"version": ' + "1" * 5000)
+    with pytest.raises(LedgerError, match="not valid JSON"):
+        Ledger.from_json(text)
+
+
+def test_huge_field_is_quoted_briefly():
+    data = run_pipeline("ab").to_dict()
+    data["code"] = "0" + "1" * 20000
+    with pytest.raises(LedgerError) as info:
+        Ledger.from_dict(data)
+    assert len(str(info.value)) < 200
+    assert "20001 characters" in str(info.value)
+
+
+def test_recompute_refuses_a_code_whose_word_differs_in_length():
+    ledger = run_pipeline("ab")
+    data = ledger.to_dict()
+    data["intermediate"][2] = [[0, str(27**3), "1"]]  # a 3-symbol word's code
+    with pytest.raises(IntegrityError, match="word of 3 symbols, but the stored decoded word has 2"):
+        recompute_decoded(Ledger.from_dict(data))
