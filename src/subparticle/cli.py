@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .codec import SymbolNotInAlphabetError
 from .expr import EvalError, ParseError, eval_ast, parse
-from .hyperreal import Classification, InfiniteValueError
+from .hyperreal import Classification, InfiniteValueError, _check_base
 from .ledger import Config, Ledger, LedgerError
 from .pipeline import IntegrityError, recompute_decoded, run_pipeline
 from .radix import brief, rational_to_decimal
@@ -36,9 +36,15 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+# Most characters of the source an error message shows around its caret.
+CARET_WINDOW = 80
+
+
 def _column_error(source: str, message: str, offset: int) -> str:
-    caret = " " * offset + "^"
-    return f"error at column {offset + 1}: {message}\n  {source}\n  {caret}"
+    start = max(0, min(offset - CARET_WINDOW // 2, len(source) - CARET_WINDOW))
+    shown = source[start:start + CARET_WINDOW]
+    caret = " " * (offset - start) + "^"
+    return f"error at column {offset + 1}: {message}\n  {shown}\n  {caret}"
 
 
 def _config_from_args(args) -> Config:
@@ -62,10 +68,7 @@ def _config_from_args(args) -> Config:
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
-    try:
-        return Config.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(str(exc)) from exc
+    return Config.from_dict(data)
 
 
 def _cmd_encode(args) -> int:
@@ -108,18 +111,16 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.base < 2:
-        return _fail(EXIT_CONFIG_ERROR, f"config error: base must be an integer >= 2, got {args.base}")
     try:
-        ast = parse(args.expr)
-    except ParseError as exc:
+        _check_base(args.base)
+    except ValueError as exc:
+        return _fail(EXIT_CONFIG_ERROR, f"config error: {exc}")
+    try:
+        value = eval_ast(parse(args.expr), args.base)
+    except (ParseError, EvalError) as exc:
         return _fail(EXIT_INPUT_ERROR, _column_error(args.expr, exc.message, exc.offset))
-    try:
-        value = eval_ast(ast, args.base)
     except InfiniteValueError:
         return _fail(EXIT_INFINITE_VALUE, "standard part undefined: infinite value")
-    except EvalError as exc:
-        return _fail(EXIT_INPUT_ERROR, _column_error(args.expr, exc.message, exc.offset))
     if isinstance(value, Fraction):
         print(rational_to_decimal(value))
     elif value.classify() is Classification.INFINITE:

@@ -43,8 +43,8 @@ class Alphabet:
     _scaled_log: int = field(init=False, repr=False, compare=False)  # see _length
 
     def __post_init__(self):
-        if not self.symbols:
-            raise ValueError("alphabet must not be empty")
+        if not isinstance(self.symbols, str) or not self.symbols:
+            raise ValueError(f"alphabet must be a nonempty string, got {radix.brief(self.symbols)}")
         values, scaled_log = _tables(self.symbols)
         if len(values) != len(self.symbols):
             raise ValueError("alphabet symbols must be distinct")
@@ -66,7 +66,8 @@ _LOG_SCALE = 256
 @lru_cache(maxsize=64)
 def _tables(symbols: str) -> tuple[dict, int]:
     """Per symbol string, built once: the symbol -> value index, and the bit
-    length of ``A**_LOG_SCALE``.  The pipeline makes an Alphabet per run."""
+    length of ``A**_LOG_SCALE``.  Each Config builds an Alphabet, and each
+    ledger read builds a Config, so alphabets of the same symbols share them."""
     values = {symbol: value for value, symbol in enumerate(symbols, start=1)}
     return values, (len(symbols) ** _LOG_SCALE).bit_length()
 
@@ -95,7 +96,7 @@ def word_length(code: int, alphabet: Alphabet | None = None) -> int:
     On a one-symbol alphabet that length is the code itself, so a caller
     can refuse a word too long to build before ``decode`` tries.
     """
-    _check_code(code)
+    radix.check_natural(code, "code")
     alpha = alphabet if alphabet is not None else _DEFAULT
     if alpha.size == 1:
         return code
@@ -104,7 +105,7 @@ def word_length(code: int, alphabet: Alphabet | None = None) -> int:
 
 def decode(code: int, alphabet: Alphabet | None = None) -> str:
     """Exact inverse of encode, defined on every natural number."""
-    _check_code(code)
+    radix.check_natural(code, "code")
     alpha = alphabet if alphabet is not None else _DEFAULT
     size = alpha.size
     symbols = alpha.symbols
@@ -117,11 +118,6 @@ def decode(code: int, alphabet: Alphabet | None = None) -> str:
     chunks = radix.split(rest, size**LEAF, radix.levels_for(length, LEAF))
     text = "".join([_spell(chunk, LEAF, symbols) for chunk in chunks])
     return text[len(text) - length:]
-
-
-def _check_code(code) -> None:
-    if not isinstance(code, int) or code < 0:
-        raise ValueError(f"code must be a nonnegative integer, got {radix.brief(code)}")
 
 
 def _horner(digits, size: int) -> int:

@@ -24,7 +24,12 @@ from .hyperreal import (
     Hyperreal,
     InfiniteValueError,
     _as_fraction,
+    _check_base,
 )
+from .radix import brief, check_natural
+
+# Most coordinates a vector may have, checked before any per-coordinate work.
+MAX_DIMS = 4096
 
 
 class InfiniteCoordinateError(ArithmeticError):
@@ -35,9 +40,27 @@ class InfiniteCoordinateError(ArithmeticError):
         self.index = index
 
 
-def _check_coord(coord: int, dims: int) -> None:
+def _check_dims(dims) -> None:
+    if not isinstance(dims, int) or not 3 <= dims <= MAX_DIMS:
+        raise ValueError(f"dims must be an integer >= 3 and at most {MAX_DIMS}, got {brief(dims)}")
+
+
+def _check_coord(coord, dims: int) -> None:
     if not isinstance(coord, int) or not 3 <= coord <= dims:
-        raise IndexError(f"quality coordinate must be in 3..{dims}, got {coord!r}")
+        raise IndexError(f"quality coordinate must be in 3..{dims}, got {brief(coord)}")
+
+
+def _hyperreal_vector(base: int, entries, what: str) -> tuple[Hyperreal, ...]:
+    """``entries`` as a tuple, checked to hold at least 3 Hyperreals of ``base``."""
+    entries = tuple(entries)
+    if len(entries) < 3:
+        raise ValueError(f"{what} needs at least 3 coordinates")
+    for entry in entries:
+        if not isinstance(entry, Hyperreal):
+            raise TypeError(f"entries of {what} must be Hyperreal, got {type(entry).__name__}")
+        if entry.base != base:
+            raise BaseMismatchError(f"an entry of {what} has base {entry.base}, not {base}")
+    return entries
 
 
 def alternating_signs(dims: int) -> tuple[int, ...]:
@@ -61,16 +84,12 @@ class Ultrasubparticle:
     signs: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 2:
-            raise ValueError(f"base must be an integer >= 2, got {self.base!r}")
-        if not isinstance(self.dims, int) or self.dims < 3:
-            raise ValueError(f"dims must be an integer >= 3, got {self.dims!r}")
-        if not isinstance(self.naming, int) or self.naming < 0:
-            raise ValueError(f"naming must be a nonnegative integer, got {self.naming!r}")
-        signs = self.signs
-        signs = alternating_signs(self.dims) if signs is None else tuple(signs)
+        _check_base(self.base)
+        _check_dims(self.dims)
+        check_natural(self.naming, "naming")
+        signs = alternating_signs(self.dims) if self.signs is None else tuple(self.signs)
         if len(signs) != self.dims - 2 or any(s not in (-1, 1) for s in signs):
-            raise ValueError("signs must be +1 or -1, one per coordinate 3..dims")
+            raise ValueError(f"signs must be +1 or -1 ('+' or '-'), one per coordinate 3..{self.dims}")
         object.__setattr__(self, "signs", signs)
 
     @property
@@ -98,15 +117,8 @@ class IntermediateSubparticle:
     coords: tuple[Hyperreal, ...]
 
     def __post_init__(self):
-        coords = tuple(self.coords)
+        coords = _hyperreal_vector(self.base, self.coords, "an intermediate subparticle")
         object.__setattr__(self, "coords", coords)
-        if len(coords) < 3:
-            raise ValueError("an intermediate subparticle needs at least 3 coordinates")
-        for entry in coords:
-            if not isinstance(entry, Hyperreal):
-                raise TypeError(f"coordinates must be Hyperreal, got {type(entry).__name__}")
-            if entry.base != self.base:
-                raise BaseMismatchError("coordinate base differs from the vector base")
         Hypernatural(coords[1])  # count slot must be natural-formed
 
     @property
@@ -131,15 +143,8 @@ class AffineMap:
     translation: tuple[Hyperreal, ...]
 
     def __post_init__(self):
-        translation = tuple(self.translation)
+        translation = _hyperreal_vector(self.base, self.translation, "a translation")
         object.__setattr__(self, "translation", translation)
-        if len(translation) < 3:
-            raise ValueError("a translation needs at least 3 coordinates")
-        for entry in translation:
-            if not isinstance(entry, Hyperreal):
-                raise TypeError(f"translation entries must be Hyperreal, got {type(entry).__name__}")
-            if entry.base != self.base:
-                raise BaseMismatchError("translation entry base differs from the map base")
         if not translation[0].is_zero():
             raise ValueError("the naming slot of a translation must be zero")
         busy = [i for i in range(2, len(translation)) if not translation[i].is_zero()]
@@ -159,8 +164,7 @@ class RealizationMap:
     dims: int
 
     def __post_init__(self):
-        if not isinstance(self.dims, int) or self.dims < 3:
-            raise ValueError(f"dims must be an integer >= 3, got {self.dims!r}")
+        _check_dims(self.dims)
 
     def apply(self, coords) -> tuple[Fraction, ...]:
         coords = tuple(coords)
@@ -177,7 +181,8 @@ class RealizationMap:
 
 @dataclass(frozen=True)
 class RealizedVector:
-    """Exact rational output vector; the first two entries are always zero."""
+    """Exact rational output vector; the first two entries are always zero.
+    This is the one check of the realized layout, ledgers included."""
 
     coords: tuple[Fraction, ...]
 
@@ -211,39 +216,38 @@ class QualitySpec:
         object.__setattr__(self, "entries", entries)
         seen = set()
         for coord, count in entries:
-            if not isinstance(coord, int) or coord < 3:
-                raise IndexError(f"quality coordinate must be >= 3, got {coord!r}")
+            _check_coord(coord, MAX_DIMS)
             if coord in seen:
                 raise ValueError(f"duplicate quality coordinate {coord}")
             seen.add(coord)
             if not isinstance(count, Hypernatural):
                 raise TypeError(f"counts must be Hypernatural, got {type(count).__name__}")
-        if self.tail_scale is not None and (not isinstance(self.tail_scale, int) or self.tail_scale < 0):
-            raise ValueError(f"tail_scale must be a nonnegative integer, got {self.tail_scale!r}")
+        if self.tail_scale is not None:
+            check_natural(self.tail_scale, "tail_scale")
+
+
+def _translation(particle: Ultrasubparticle, coord: int, delta: Hyperreal) -> AffineMap:
+    """``delta`` on the count slot and ``delta`` signed eps on ``coord``:
+    the translation that takes a count of 1 to a count of ``delta + 1``.
+    A ``delta`` of another base fails in the product below."""
+    step = Hyperreal.epsilon(particle.base).scale(particle.sign(coord))  # checks coord
+    translation = [Hyperreal.zero(particle.base)] * particle.dims
+    translation[1] = delta
+    translation[coord - 1] = delta * step
+    return AffineMap(particle.base, tuple(translation))
 
 
 def make_translation(particle: Ultrasubparticle, coord: int) -> AffineMap:
     """Single bundling step: +1 on the count slot, one signed eps on ``coord``."""
-    _check_coord(coord, particle.dims)
-    translation = [Hyperreal.zero(particle.base)] * particle.dims
-    translation[1] = Hyperreal.one(particle.base)
-    translation[coord - 1] = Hyperreal.epsilon(particle.base).scale(particle.sign(coord))
-    return AffineMap(particle.base, tuple(translation))
+    return _translation(particle, coord, Hyperreal.one(particle.base))
 
 
 def make_lambda_translation(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> AffineMap:
     """One-shot bundling translation for a count: applied once, it equals
     count-1 applications of the single step."""
-    _check_coord(coord, particle.dims)
-    if count.base != particle.base:
-        raise BaseMismatchError("count base differs from the particle base")
     if count.is_degenerate:
         raise ValueError("count must be at least 1")
-    delta = count.value - 1
-    translation = [Hyperreal.zero(particle.base)] * particle.dims
-    translation[1] = delta
-    translation[coord - 1] = delta * Hyperreal.epsilon(particle.base).scale(particle.sign(coord))
-    return AffineMap(particle.base, tuple(translation))
+    return _translation(particle, coord, count.value - 1)
 
 
 def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, ...]:
@@ -255,7 +259,7 @@ def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, 
     iteration exactly, and times 0 is the identity.  Slots whose shift is
     zero are passed through unchanged.
     """
-    coords = tuple(coords)
+    coords = _hyperreal_vector(step.base, coords, "a coordinate vector")
     if len(coords) != step.dims:
         raise ValueError(f"dimension mismatch: map has {step.dims}, vector has {len(coords)}")
     if isinstance(times, Hypernatural):
@@ -266,12 +270,8 @@ def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, 
         raise TypeError(f"times must be an int, Hypernatural, or Hyperreal, got {type(times).__name__}")
     if times.base != step.base:
         raise BaseMismatchError("times base differs from the map base")
-    out = []
-    for entry, shift in zip(coords, step.translation):
-        if not isinstance(entry, Hyperreal):
-            raise TypeError(f"coordinates must be Hyperreal, got {type(entry).__name__}")
-        out.append(entry + times * shift if shift._terms else entry)
-    return tuple(out)
+    pairs = zip(coords, step.translation)
+    return tuple([entry + times * shift if shift._terms else entry for entry, shift in pairs])
 
 
 def bundle(
@@ -283,20 +283,12 @@ def bundle(
     slot holding ``count`` and coordinate ``coord`` holding
     ``count * (sign * eps)``, exactly the closed form of the count-fold sum
     of the signed infinitesimal; every other coordinate is untouched.  The
-    degenerate count 0 (the empty word's code) zeroes both slots instead.
+    degenerate count 0 (the empty word's code) zeroes both slots, since its
+    translation subtracts the particle's own count and eps there.
     ``coords``, when given, must be ``particle.coords()``; a caller that
     records those anyway need not have them computed twice.
     """
-    _check_coord(coord, particle.dims)
-    if count.base != particle.base:
-        raise BaseMismatchError("count base differs from the particle base")
-    if count.is_degenerate:
-        translation = [Hyperreal.zero(particle.base)] * particle.dims
-        translation[1] = Hyperreal.from_rational(particle.base, -1)
-        translation[coord - 1] = Hyperreal.epsilon(particle.base).scale(-particle.sign(coord))
-        step = AffineMap(particle.base, tuple(translation))
-    else:
-        step = make_lambda_translation(particle, coord, count)
+    step = _translation(particle, coord, count.value - 1)
     if coords is None:
         coords = particle.coords()
     return IntermediateSubparticle(particle.base, apply_translation_times(step, coords, 1))
@@ -316,12 +308,9 @@ def quality_bundle(particle: Ultrasubparticle, spec: QualitySpec) -> RealizedVec
     finitely scaled eps is still infinitesimal.  The first two diagonal
     entries are zero, so naming and count never reach the output.
     """
-    counts = {}
-    for coord, count in spec.entries:
+    for coord, _ in spec.entries:
         _check_coord(coord, particle.dims)
-        if count.base != particle.base:
-            raise BaseMismatchError("count base differs from the particle base")
-        counts[coord] = count
+    counts = dict(spec.entries)  # a count of another base fails in its product below
     source = particle.coords()
     zero = Hyperreal.zero(particle.base)
     scaled = [zero, zero]

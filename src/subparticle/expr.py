@@ -16,11 +16,15 @@ squares.  There is no general division; ``/`` only forms rational literals
 such as ``3/4``.  An exponent above ``MAX_EXPONENT`` in magnitude is a
 parse error, found from the token's length before it is converted.  That
 bounds the exponent, not the work: a many-term base raised to an allowed
-power can still take long.
+power can still take long.  Nesting of ``(``, ``st(`` and unary ``-``
+deeper than ``MAX_DEPTH`` is a parse error too, so no input exhausts the
+stack; chains of ``+ - *`` are walked in a loop and are bounded only by
+the input's length.
 """
 
 from __future__ import annotations
 
+import operator
 import string
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,6 +36,7 @@ from .radix import parse_decimal, to_decimal
 
 MAX_EXPONENT = 100_000
 _MAX_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -129,6 +134,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -143,6 +149,15 @@ class _Parser:
         if token.kind != kind:
             raise ParseError(message, token.offset)
         return self.advance()
+
+    def nested(self, parse_inner, token: _Token) -> ExprAst:
+        """``parse_inner()`` one nesting level below ``token``."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nesting exceeds the limit of {MAX_DEPTH}", token.offset)
+        self.depth += 1
+        node = parse_inner()
+        self.depth -= 1
+        return node
 
     def parse(self) -> ExprAst:
         node = self.expr()
@@ -172,7 +187,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "-":
             self.advance()
-            child = self.factor()
+            child = self.nested(self.factor, token)
             return ExprAst(NodeKind.NEG, (child,), span=_join((token.offset, 1), child.span))
         node = self.primary()
         if self.peek().kind == "^":
@@ -221,18 +236,37 @@ class _Parser:
             if token.text == "st":
                 self.advance()
                 self.expect("(", "expected '(' after 'st'")
-                inner = self.expr()
+                inner = self.nested(self.expr, token)
                 close = self.expect(")", "expected ')'")
                 return ExprAst(NodeKind.ST, (inner,), span=(token.offset, close.end - token.offset))
             raise ParseError(f"unknown name {token.text!r}", token.offset)
         if token.kind == "(":
             self.advance()
-            inner = self.expr()
+            inner = self.nested(self.expr, token)
             close = self.expect(")", "expected ')'")
             return ExprAst(NodeKind.PAREN, (inner,), span=(token.offset, close.end - token.offset))
         if token.kind == "eof":
             raise ParseError("unexpected end of input", token.offset)
         raise ParseError(f"unexpected token {token.text!r}", token.offset)
+
+
+# The left-associative binary operators: their source text and value.
+_CHAIN_OPS = {
+    NodeKind.ADD: (" + ", operator.add),
+    NodeKind.SUB: (" - ", operator.sub),
+    NodeKind.MUL: ("*", operator.mul),
+}
+
+
+def _chain(node: ExprAst) -> tuple[ExprAst, list[tuple[NodeKind, ExprAst]]]:
+    """The leftmost operand below a chain of ``+ - *`` nodes, and each
+    node's kind and right operand in source order, found in a loop."""
+    links = []
+    while node.kind in _CHAIN_OPS:
+        links.append((node.kind, node.children[1]))
+        node = node.children[0]
+    links.reverse()
+    return node, links
 
 
 def _join(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
@@ -262,12 +296,12 @@ def _eval(node: ExprAst, base: int) -> Hyperreal:
         return Hyperreal.generator(base)
     if kind is NodeKind.NEG:
         return -_eval(node.children[0], base)
-    if kind is NodeKind.ADD:
-        return _eval(node.children[0], base) + _eval(node.children[1], base)
-    if kind is NodeKind.SUB:
-        return _eval(node.children[0], base) - _eval(node.children[1], base)
-    if kind is NodeKind.MUL:
-        return _eval(node.children[0], base) * _eval(node.children[1], base)
+    if kind in _CHAIN_OPS:
+        first, links = _chain(node)
+        value = _eval(first, base)
+        for op, right in links:
+            value = _CHAIN_OPS[op][1](value, _eval(right, base))
+        return value
     if kind is NodeKind.POW:
         body = _eval(node.children[0], base)
         exponent = node.value
@@ -302,12 +336,9 @@ def pretty(ast: ExprAst) -> str:
         return "H"
     if kind is NodeKind.NEG:
         return "-" + pretty(ast.children[0])
-    if kind is NodeKind.ADD:
-        return f"{pretty(ast.children[0])} + {pretty(ast.children[1])}"
-    if kind is NodeKind.SUB:
-        return f"{pretty(ast.children[0])} - {pretty(ast.children[1])}"
-    if kind is NodeKind.MUL:
-        return f"{pretty(ast.children[0])}*{pretty(ast.children[1])}"
+    if kind in _CHAIN_OPS:
+        first, links = _chain(ast)
+        return pretty(first) + "".join(_CHAIN_OPS[op][0] + pretty(right) for op, right in links)
     if kind is NodeKind.POW:
         return f"{pretty(ast.children[0])}^{ast.value}"
     if kind is NodeKind.ST:

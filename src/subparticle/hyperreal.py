@@ -22,7 +22,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Union
 
-from .radix import brief, is_decimal, parse_decimal, rational_to_decimal, to_decimal
+from .radix import brief, check_natural, is_decimal, parse_decimal, rational_to_decimal, to_decimal
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
@@ -58,8 +58,9 @@ def _as_fraction(value) -> Fraction:
 
 
 def _check_base(base) -> None:
+    """The one check of a base B, wherever one is given."""
     if not isinstance(base, int) or base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base!r}")
+        raise ValueError(f"base must be an integer >= 2, got {brief(base)}")
 
 
 def _check_exponent(exp) -> None:
@@ -379,8 +380,7 @@ class Hypernatural:
 
     @classmethod
     def from_int(cls, n: int, base: int) -> "Hypernatural":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"expected a nonnegative integer, got {n!r}")
+        check_natural(n, "n")
         return cls(Hyperreal.from_rational(base, n))
 
     @property
@@ -420,8 +420,7 @@ def lambda_for_code(code: int, base: int) -> Hypernatural:
     degenerate zero count, reported through ``is_degenerate`` (and
     ``is_infinite`` False).
     """
-    if not isinstance(code, int) or code < 0:
-        raise ValueError(f"code must be a nonnegative integer, got {code!r}")
+    check_natural(code, "code")
     return Hypernatural(Hyperreal.monomial(base, code, 1))
 
 
@@ -429,10 +428,7 @@ def hyperfinite_constant_sum(count: Hypernatural, term: Hyperreal) -> Hyperreal:
     """Closed form ``count * term`` of a count-fold sum of a constant term.
 
     For finite counts this equals literal repeated addition; for infinite
-    counts it is the transferred value of the same sum.
+    counts it is the transferred value of the same sum.  A count and a term
+    of different bases raise BaseMismatchError, as every product does.
     """
-    if count.base != term.base:
-        raise BaseMismatchError(
-            f"count has base {count.base} but term has base {term.base}"
-        )
     return count.value * term

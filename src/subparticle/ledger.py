@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
-from .codec import DEFAULT_ALPHABET
-from .engine import alternating_signs
+from .codec import DEFAULT_ALPHABET, Alphabet
+from .engine import RealizedVector, Ultrasubparticle, _check_coord
 from .hyperreal import Hypernatural, Hyperreal
 from .radix import brief, parse_decimal, parse_rational, rational_to_decimal, to_decimal
 
@@ -42,57 +43,50 @@ class LedgerError(ValueError):
     """The ledger document is not well formed."""
 
 
+_SIGN_VALUES = {"+": 1, "-": -1}
+
+
 @dataclass(frozen=True)
 class Config:
     """Pipeline settings.  The alphabet order and the sign layout define the
-    code, so both are recorded verbatim in every ledger.  ``signs`` is
-    ``quality_signs`` parsed once into +1/-1 entries."""
+    code, so both are recorded verbatim in every ledger.  ``quality_signs``
+    is one ``+`` or ``-`` per coordinate 3..dims; empty means alternating.
+
+    ``codec_alphabet`` and ``particle`` are the Alphabet and the
+    Ultrasubparticle the settings describe, built once; their constructors
+    are the checks of the settings.  ``signs`` is the particle's layout."""
 
     base: int = 10
     dims: int = 8
     alphabet: str = DEFAULT_ALPHABET
     bundle_coordinate: int = 3
     quality_signs: str = ""
+    codec_alphabet: Alphabet = field(init=False, repr=False, compare=False)
+    particle: Ultrasubparticle = field(init=False, repr=False, compare=False)
     signs: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 2:
-            raise ValueError(f"base must be an integer >= 2, got {brief(self.base)}")
-        if not isinstance(self.dims, int) or self.dims < 3:
-            raise ValueError(f"dims must be an integer >= 3, got {brief(self.dims)}")
-        if not isinstance(self.alphabet, str) or not self.alphabet:
-            raise ValueError("alphabet must be a nonempty string")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet symbols must be distinct")
-        if not isinstance(self.bundle_coordinate, int) or not 3 <= self.bundle_coordinate <= self.dims:
-            raise ValueError(
-                f"bundle_coordinate must be in 3..{brief(self.dims)}, got {brief(self.bundle_coordinate)}"
-            )
         text = self.quality_signs
+        if not isinstance(text, str):
+            raise ValueError(f"quality_signs must be a string of '+' and '-', got {brief(text)}")
+        signs = tuple(_SIGN_VALUES.get(ch, 0) for ch in text) if text else None  # the particle refuses 0
+        particle = Ultrasubparticle(self.base, self.dims, signs=signs)
+        object.__setattr__(self, "particle", particle)
+        object.__setattr__(self, "signs", particle.signs)
+        object.__setattr__(self, "codec_alphabet", Alphabet(self.alphabet))
+        try:
+            _check_coord(self.bundle_coordinate, self.dims)
+        except IndexError as exc:
+            raise ValueError(f"bundle_coordinate: {exc}") from None
         if not text:
-            signs = alternating_signs(self.dims)
-            text = "".join("+" if s == 1 else "-" for s in signs)
-            object.__setattr__(self, "quality_signs", text)
-        elif isinstance(text, str) and len(text) == self.dims - 2 and not set(text) - set("+-"):
-            signs = tuple(1 if ch == "+" else -1 for ch in text)
-        else:
-            raise ValueError(
-                f"quality_signs must be a +/- string of length dims-2 ({brief(self.dims - 2)}), got {brief(text)}"
-            )
-        object.__setattr__(self, "signs", signs)
+            object.__setattr__(self, "quality_signs", "".join("+" if s == 1 else "-" for s in particle.signs))
 
     @property
     def bundle_sign(self) -> int:
         return self.signs[self.bundle_coordinate - 3]
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "dims": self.dims,
-            "alphabet": self.alphabet,
-            "bundle_coordinate": self.bundle_coordinate,
-            "quality_signs": self.quality_signs,
-        }
+        return {key: getattr(self, key) for key in _CONFIG_KEYS}
 
     @classmethod
     def from_dict(cls, data) -> "Config":
@@ -178,14 +172,16 @@ class Ledger:
             raise LedgerError("sequence_head must equal code")
         count = _parse_count(data["lambda"], config.base)
         sign_text = data["bundle_sign"]
-        if sign_text not in ("+", "-"):
-            raise LedgerError(f"bundle_sign must be '+' or '-', got {brief(sign_text)}")
-        bundle_sign = 1 if sign_text == "+" else -1
-        if bundle_sign != config.bundle_sign:
-            raise LedgerError("bundle_sign disagrees with the config quality_signs")
-        ultra = _parse_coords(data["ultrasubparticle"], config, "ultrasubparticle")
-        intermediate = _parse_coords(data["intermediate"], config, "intermediate")
-        realized = _parse_realized(data["realized"], config)
+        if sign_text != ("+" if config.bundle_sign == 1 else "-"):
+            raise LedgerError(f"bundle_sign {brief(sign_text)} disagrees with the config quality_signs")
+        triples = partial(Hyperreal.from_triples, config.base)
+        ultra = _parse_coords(data["ultrasubparticle"], config, "ultrasubparticle", triples)
+        intermediate = _parse_coords(data["intermediate"], config, "intermediate", triples)
+        realized = _parse_coords(data["realized"], config, "realized", parse_rational)
+        try:
+            realized = RealizedVector(realized).coords
+        except ValueError as exc:
+            raise LedgerError(f"invalid realized vector: {exc}") from None
         return cls(
             version=data["version"],
             config=config,
@@ -193,7 +189,7 @@ class Ledger:
             code=code,
             sequence_head=sequence_head,
             count=count,
-            bundle_sign=bundle_sign,
+            bundle_sign=config.bundle_sign,
             ultrasubparticle=ultra,
             intermediate=intermediate,
             realized=realized,
@@ -271,27 +267,14 @@ def _parse_count(value, base: int) -> Hypernatural:
     return count
 
 
-def _parse_coords(value, config: Config, field: str) -> tuple[Hyperreal, ...]:
+def _parse_coords(value, config: Config, field: str, parse) -> tuple:
+    """The ``config.dims`` entries of a coordinate list, each read by ``parse``."""
     if not isinstance(value, list) or len(value) != config.dims:
         raise LedgerError(f"{field} must be a list of {config.dims} coordinates")
     coords = []
-    for index, triples in enumerate(value, start=1):
+    for index, item in enumerate(value, start=1):
         try:
-            coords.append(Hyperreal.from_triples(config.base, triples))
+            coords.append(parse(item))
         except (TypeError, ValueError) as exc:
             raise LedgerError(f"invalid {field} coordinate {index}: {exc}") from exc
     return tuple(coords)
-
-
-def _parse_realized(value, config: Config) -> tuple[Fraction, ...]:
-    if not isinstance(value, list) or len(value) != config.dims:
-        raise LedgerError(f"realized must be a list of {config.dims} rational strings")
-    realized = []
-    for index, text in enumerate(value, start=1):
-        try:
-            realized.append(parse_rational(text))
-        except ValueError as exc:
-            raise LedgerError(f"invalid realized coordinate {index}: {exc}") from None
-    if realized[0] != 0 or realized[1] != 0:
-        raise LedgerError("realized naming and count entries must be zero")
-    return tuple(realized)

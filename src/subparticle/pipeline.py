@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from .codec import Alphabet, decode, encode, word_length
-from .engine import (
-    InfiniteCoordinateError,
-    IntermediateSubparticle,
-    Ultrasubparticle,
-    bundle,
-    realize,
-)
+from .codec import decode, encode, word_length
+# Ultrasubparticle is not called here (each Config holds its particle), but
+# the benchmark's tracer (bench/spans.py) wraps this module's name for it.
+from .engine import InfiniteCoordinateError, IntermediateSubparticle, Ultrasubparticle, bundle, realize
 from .hyperreal import lambda_for_code
 from .ledger import LEDGER_VERSION, Config, Ledger
 from .radix import brief, rational_to_decimal
@@ -19,17 +15,18 @@ class IntegrityError(ValueError):
     """Recomputation from a ledger's stored coordinates failed or disagreed."""
 
 
+_DEFAULT_CONFIG = Config()
+
+
 def run_pipeline(word: str, config: Config | None = None) -> Ledger:
     """Run encode -> count -> bundle -> realize -> decode, recording every stage."""
-    config = config if config is not None else Config()
-    alphabet = Alphabet(config.alphabet)
-    code = encode(word, alphabet)
+    config = config if config is not None else _DEFAULT_CONFIG
+    code = encode(word, config.codec_alphabet)
     count = lambda_for_code(code, config.base)
-    particle = Ultrasubparticle(config.base, config.dims, naming=0, signs=config.signs)
-    coords = particle.coords()
-    intermediate = bundle(particle, config.bundle_coordinate, count, coords)
+    coords = config.particle.coords()
+    intermediate = bundle(config.particle, config.bundle_coordinate, count, coords)
     realized = realize(intermediate)
-    decoded = decode(_recover_code(realized.coords, config), alphabet)
+    decoded = decode(_recover_code(realized.coords, config), config.codec_alphabet)
     return Ledger(
         version=LEDGER_VERSION,
         config=config,
@@ -61,14 +58,13 @@ def recompute_decoded(ledger: Ledger) -> str:
     except (ValueError, InfiniteCoordinateError) as exc:
         raise IntegrityError(f"stored intermediate cannot be realized: {exc}") from exc
     code = _recover_code(realized.coords, config)
-    alphabet = Alphabet(config.alphabet)
-    length = word_length(code, alphabet)
+    length = word_length(code, config.codec_alphabet)
     if length != len(ledger.decoded):
         raise IntegrityError(
             f"recomputed code names a word of {brief(length)} symbols, "
             f"but the stored decoded word has {len(ledger.decoded)}"
         )
-    return decode(code, alphabet)
+    return decode(code, config.codec_alphabet)
 
 
 def _recover_code(realized_coords, config: Config) -> int:

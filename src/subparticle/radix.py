@@ -188,3 +188,9 @@ def brief(value) -> str:
         return f"{value[:BRIEF_LIMIT]!r}... ({len(value)} characters)"
     text = to_decimal(value) if type(value) is int else repr(value)
     return text if len(text) <= BRIEF_LIMIT else f"{text[:BRIEF_LIMIT]}... ({len(text)} characters)"
+
+
+def check_natural(value, name: str) -> None:
+    """The one check of a nonnegative integer argument such as a code."""
+    if not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {brief(value)}")

@@ -343,3 +343,45 @@ class TestEndToEndRecovery:
                 results.append(realized.coords)
             assert results[0] == results[1]
             assert decode(int(results[0][2])) == word
+
+
+class TestOneTranslationForEveryCount:
+    """make_translation, make_lambda_translation and bundle share one
+    translation, ``delta`` on the count slot and ``delta`` signed eps on the
+    bundled coordinate, with ``delta = count - 1``."""
+
+    def particle(self):
+        return Ultrasubparticle(10, 6, naming=4, signs=(1, -1, -1, 1))
+
+    def test_empty_word_bundle_zeroes_count_and_coordinate_on_every_coordinate(self):
+        particle = self.particle()
+        source = particle.coords()
+        for coord in range(3, 7):
+            expected = list(source)
+            expected[1] = expected[coord - 1] = zero()
+            assert bundle(particle, coord, lambda_for_code(0, 10)).coords == tuple(expected)
+
+    def test_every_count_matches_the_single_step_iterated(self):
+        particle = self.particle()
+        for coord in range(3, 7):
+            single = make_translation(particle, coord)
+            for n in (1, 2, 5):
+                once = bundle(particle, coord, Hypernatural.from_int(n, 10)).coords
+                assert once == iterate_translation(particle.coords(), single.translation, n - 1)
+                if n > 1:
+                    assert make_lambda_translation(particle, coord, Hypernatural.from_int(n, 10)) == AffineMap(
+                        10, tuple(b.scale(n - 1) for b in single.translation)
+                    )
+
+    def test_count_of_another_base_is_refused(self):
+        with pytest.raises(BaseMismatchError):
+            make_lambda_translation(U4, 3, Hypernatural.from_int(2, 2))
+        with pytest.raises(BaseMismatchError):
+            quality_bundle(U4, QualitySpec(entries=((3, lambda_for_code(5, 2)),)))
+
+    def test_coordinates_of_another_base_are_refused_even_where_nothing_shifts(self):
+        step = make_translation(U4, 3)
+        with pytest.raises(BaseMismatchError):
+            apply_translation_times(step, (zero(), one(), eps(), eps(2)), 1)
+        with pytest.raises(TypeError):
+            apply_translation_times(step, (zero(), one(), eps(), 0), 1)
