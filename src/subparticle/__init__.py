@@ -35,7 +35,7 @@ from .hyperreal import (
     lambda_for_code,
 )
 from .ledger import LEDGER_VERSION, Config, Ledger, LedgerError
-from .pipeline import IntegrityError, recompute_decoded, run_pipeline
+from .pipeline import IntegrityError, recompute_decoded, run_pipeline, verify_ledger
 
 __version__ = "0.1.0"
 
@@ -81,4 +81,5 @@ __all__ = [
     "realize",
     "recompute_decoded",
     "run_pipeline",
+    "verify_ledger",
 ]

@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands: ``encode`` (word to ledger), ``realize`` (ledger to word,
-recomputed from the stored coordinates), ``eval`` (expression inspector),
+once every stored field is recomputed), ``eval`` (expression inspector),
 ``roundtrip`` (bulk corpus check).  Exit codes, fixed for scripting:
 0 ok, 1 corpus failure, 2 input error, 3 config error, 4 malformed ledger,
-5 integrity failure, 6 infinite value.
+5 integrity failure, 6 infinite value, 7 internal error (any other
+exception, reported on one line with no traceback).
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from .codec import SymbolNotInAlphabetError
 from .expr import EvalError, ParseError, eval_ast, parse
 from .hyperreal import Classification, InfiniteValueError, _check_base
 from .ledger import Config, Ledger, LedgerError
-from .pipeline import IntegrityError, recompute_decoded, run_pipeline
+# recompute_decoded is not called here, but the benchmark's tracer
+# (bench/spans.py) wraps this module's name for it.
+from .pipeline import IntegrityError, recompute_decoded, run_pipeline, verify_ledger
 from .radix import brief, rational_to_decimal
 
 EXIT_OK = 0
@@ -29,6 +32,7 @@ EXIT_CONFIG_ERROR = 3
 EXIT_MALFORMED_LEDGER = 4
 EXIT_INTEGRITY_FAILURE = 5
 EXIT_INFINITE_VALUE = 6
+EXIT_INTERNAL_ERROR = 7
 
 
 def _fail(code: int, message: str) -> int:
@@ -98,15 +102,10 @@ def _cmd_realize(args) -> int:
     except LedgerError as exc:
         return _fail(EXIT_MALFORMED_LEDGER, f"malformed ledger: {exc}")
     try:
-        recomputed = recompute_decoded(ledger)
+        word = verify_ledger(ledger)
     except IntegrityError as exc:
         return _fail(EXIT_INTEGRITY_FAILURE, f"integrity failure: {exc}")
-    if recomputed != ledger.decoded:
-        return _fail(
-            EXIT_INTEGRITY_FAILURE,
-            f"integrity failure: recomputed word {brief(recomputed)} disagrees with stored {brief(ledger.decoded)}",
-        )
-    print(recomputed)
+    print(word)
     return EXIT_OK
 
 
@@ -180,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     realize_parser.set_defaults(func=_cmd_realize)
 
     eval_parser = sub.add_parser("eval", help="evaluate a hyperreal expression")
-    eval_parser.add_argument("expr")
+    eval_parser.add_argument("expr", help="the expression; put -- before one that starts with '-', as in: spc eval -- -H")
     eval_parser.add_argument("--base", type=int, default=10)
     eval_parser.set_defaults(func=_cmd_eval)
 
@@ -193,7 +192,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # the last resort: one documented line, no traceback
+        return _fail(EXIT_INTERNAL_ERROR, f"internal error: {type(exc).__name__}: {brief(str(exc))}")
 
 
 if __name__ == "__main__":

@@ -100,33 +100,34 @@ class Config:
 
 @dataclass(frozen=True)
 class Ledger:
-    """Complete record of one encode run, replayable and checkable.
-
-    ``sequence_head`` is the head entry of the run's partial-sequence class
-    and always equals the code.  ``bundle_sign`` records which sign the
-    bundled coordinate carried, so consumers can undo it when recovering
-    the code from the realized vector.
+    """Complete record of one encode run, replayable and checkable: the
+    config and one field per pipeline stage.  The document's ``version``,
+    ``sequence_head`` (the head of the run's partial-sequence class, always
+    the code) and ``bundle_sign`` (the config's sign of the bundled
+    coordinate) follow from these, so they are written and checked but not
+    stored.
     """
 
-    version: str
     config: Config
     word: str
     code: int
-    sequence_head: int
     count: Hypernatural
-    bundle_sign: int
     ultrasubparticle: tuple[Hyperreal, ...]
     intermediate: tuple[Hyperreal, ...]
     realized: tuple[Fraction, ...]
     decoded: str
 
+    @property
+    def bundle_sign(self) -> int:
+        return self.config.bundle_sign
+
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": LEDGER_VERSION,
             "config": self.config.to_dict(),
             "word": self.word,
             "code": to_decimal(self.code),
-            "sequence_head": to_decimal(self.sequence_head),
+            "sequence_head": to_decimal(self.code),
             "lambda": {
                 "value": self.count.value.to_triples(),
                 "infinite": self.count.is_infinite,
@@ -167,8 +168,7 @@ class Ledger:
         if not isinstance(word, str) or not isinstance(decoded, str):
             raise LedgerError("word and decoded must be strings")
         code = _parse_natural(data["code"], "code")
-        sequence_head = _parse_natural(data["sequence_head"], "sequence_head")
-        if sequence_head != code:
+        if _parse_natural(data["sequence_head"], "sequence_head") != code:
             raise LedgerError("sequence_head must equal code")
         count = _parse_count(data["lambda"], config.base)
         sign_text = data["bundle_sign"]
@@ -182,19 +182,7 @@ class Ledger:
             realized = RealizedVector(realized).coords
         except ValueError as exc:
             raise LedgerError(f"invalid realized vector: {exc}") from None
-        return cls(
-            version=data["version"],
-            config=config,
-            word=word,
-            code=code,
-            sequence_head=sequence_head,
-            count=count,
-            bundle_sign=config.bundle_sign,
-            ultrasubparticle=ultra,
-            intermediate=intermediate,
-            realized=realized,
-            decoded=decoded,
-        )
+        return cls(config, word, code, count, ultra, intermediate, realized, decoded)
 
     @classmethod
     def from_json(cls, text: str) -> "Ledger":

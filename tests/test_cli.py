@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from subparticle import cli
 from subparticle.cli import main
 from subparticle.codec import DEFAULT_ALPHABET
 
@@ -346,3 +347,29 @@ def test_missing_subcommand_is_an_argparse_error():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_eval_reads_an_expression_after_double_dash(capsys):
+    code, out, err = run(capsys, "eval", "--", "-H")
+    assert (code, out, err) == (0, "-H (Infinite)\n", "")
+
+
+class TestLastResort:
+    def raise_from_eval(self, monkeypatch, exc):
+        def command(args):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_eval", command)
+
+    def test_unmapped_exception_is_exit_7_on_one_line(self, capsys, monkeypatch):
+        self.raise_from_eval(monkeypatch, RuntimeError("boom\nsecond line " + "x" * 5000))
+        code, out, err = run(capsys, "eval", "1")
+        assert (code, out) == (7, "")
+        assert err.startswith("internal error: RuntimeError: 'boom\\nsecond line ")
+        assert err.count("\n") == 1 and len(err.encode()) < 512
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt(), SystemExit(3)])
+    def test_interrupt_and_exit_pass_through(self, capsys, monkeypatch, exc):
+        self.raise_from_eval(monkeypatch, exc)
+        with pytest.raises(type(exc)):
+            main(["eval", "1"])
