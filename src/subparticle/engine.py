@@ -15,7 +15,7 @@ and leaves an exact rational vector whose bundled entry carries the code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hyperreal import (
@@ -75,13 +75,14 @@ class Ultrasubparticle:
     The naming tag is carried opaquely and never interpreted; realization
     suppresses it.  Signs default to the alternating layout and bundling
     preserves them, so a code bundled onto a negative coordinate realizes
-    negated.
+    negated.  The coordinate vector is built once, with the particle.
     """
 
     base: int
     dims: int
     naming: int = 0
     signs: tuple[int, ...] | None = None
+    _coords: tuple[Hyperreal, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_base(self.base)
@@ -91,6 +92,10 @@ class Ultrasubparticle:
         if len(signs) != self.dims - 2 or any(s not in (-1, 1) for s in signs):
             raise ValueError(f"signs must be +1 or -1 ('+' or '-'), one per coordinate 3..{self.dims}")
         object.__setattr__(self, "signs", signs)
+        eps = Hyperreal.epsilon(self.base)
+        signed = {1: eps, -1: -eps}  # values are immutable, so slots share them
+        head = (Hyperreal.from_rational(self.base, self.naming), Hyperreal.one(self.base))
+        object.__setattr__(self, "_coords", head + tuple([signed[s] for s in signs]))
 
     @property
     def count(self) -> Hypernatural:
@@ -101,12 +106,7 @@ class Ultrasubparticle:
         return self.signs[coord - 3]
 
     def coords(self) -> tuple[Hyperreal, ...]:
-        eps = Hyperreal.epsilon(self.base)
-        signed = {1: eps, -1: -eps}  # values are immutable, so slots share them
-        return (
-            Hyperreal.from_rational(self.base, self.naming),
-            Hyperreal.one(self.base),
-        ) + tuple([signed[s] for s in self.signs])
+        return self._coords
 
 
 @dataclass(frozen=True)
@@ -274,9 +274,7 @@ def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, 
     return tuple([entry + times * shift if shift._terms else entry for entry, shift in pairs])
 
 
-def bundle(
-    particle: Ultrasubparticle, coord: int, count: Hypernatural, coords: tuple[Hyperreal, ...] | None = None
-) -> IntermediateSubparticle:
+def bundle(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> IntermediateSubparticle:
     """Bundle ``count`` copies of the particle along one quality coordinate.
 
     A single application of the count-dependent translation leaves the count
@@ -285,13 +283,9 @@ def bundle(
     of the signed infinitesimal; every other coordinate is untouched.  The
     degenerate count 0 (the empty word's code) zeroes both slots, since its
     translation subtracts the particle's own count and eps there.
-    ``coords``, when given, must be ``particle.coords()``; a caller that
-    records those anyway need not have them computed twice.
     """
     step = _translation(particle, coord, count.value - 1)
-    if coords is None:
-        coords = particle.coords()
-    return IntermediateSubparticle(particle.base, apply_translation_times(step, coords, 1))
+    return IntermediateSubparticle(particle.base, apply_translation_times(step, particle.coords(), 1))
 
 
 def realize(subparticle: IntermediateSubparticle) -> RealizedVector:

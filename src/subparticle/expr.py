@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -73,16 +73,45 @@ class NodeKind(Enum):
     PAREN = "Paren"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ExprAst:
     """Parse tree node; ``value`` holds the int payload for IntLit and the
     exponent for Pow, a Fraction for RatLit.  Source spans are carried for
-    error reporting but ignored by structural equality."""
+    error reporting but ignored by structural equality.  ``==``, ``hash``
+    and ``repr`` walk the tree in a loop, so a tree of any depth has them."""
 
     kind: NodeKind
     children: tuple["ExprAst", ...] = ()
     value: object = None
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
+    span: tuple[int, int] = (0, 0)
+
+    def _preorder(self) -> list[tuple]:
+        """Kind, value and child count of each node in pre-order: the
+        structure of the tree, without its spans."""
+        nodes, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            nodes.append((node.kind, node.value, len(node.children)))
+            stack.extend(reversed(node.children))
+        return nodes
+
+    def __eq__(self, other):
+        return self._preorder() == other._preorder() if isinstance(other, ExprAst) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self):
+        parts, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+                continue
+            parts.append(f"ExprAst(kind={node.kind!r}, children=(")
+            stack.append(f"{',' if len(node.children) == 1 else ''}), value={node.value!r}, span={node.span!r})")
+            stack.extend(reversed([item for child in node.children for item in (", ", child)][1:]))
+        return "".join(parts)
 
 
 @dataclass(frozen=True)

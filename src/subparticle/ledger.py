@@ -6,6 +6,12 @@ after bundling, the realized rational vector, and the decoded word.  All
 arbitrary-precision numbers travel as decimal strings so no consumer can
 lose precision; hyperreals travel as ``[exponent, numerator, denominator]``
 triples in descending exponent order.
+
+Format v1 fixes the shape of every field, so ``Ledger.to_json`` writes the
+document by that layout, field by field, and is the one writer of ledger
+text; ``Ledger.from_dict`` is the one reader.  ``Ledger.to_dict()`` is the
+parsed document, and ``json.dumps(ledger.to_dict(), indent=2)`` equals
+``ledger.to_json()`` byte for byte.
 """
 
 from __future__ import annotations
@@ -24,19 +30,8 @@ from .radix import brief, parse_decimal, parse_rational, rational_to_decimal, to
 LEDGER_VERSION = "1"
 
 _CONFIG_KEYS = ("base", "dims", "alphabet", "bundle_coordinate", "quality_signs")
-_LEDGER_KEYS = (
-    "version",
-    "config",
-    "word",
-    "code",
-    "sequence_head",
-    "lambda",
-    "bundle_sign",
-    "ultrasubparticle",
-    "intermediate",
-    "realized",
-    "decoded",
-)
+_LEDGER_KEYS = ("version", "config", "word", "code", "sequence_head", "lambda", "bundle_sign",
+                "ultrasubparticle", "intermediate", "realized", "decoded")
 
 
 class LedgerError(ValueError):
@@ -122,30 +117,32 @@ class Ledger:
         return self.config.bundle_sign
 
     def to_dict(self) -> dict:
-        return {
-            "version": LEDGER_VERSION,
-            "config": self.config.to_dict(),
-            "word": self.word,
-            "code": to_decimal(self.code),
-            "sequence_head": to_decimal(self.code),
-            "lambda": {
-                "value": self.count.value.to_triples(),
-                "infinite": self.count.is_infinite,
-                "degenerate": self.count.is_degenerate,
-            },
-            "bundle_sign": "+" if self.bundle_sign == 1 else "-",
-            "ultrasubparticle": [entry.to_triples() for entry in self.ultrasubparticle],
-            "intermediate": [entry.to_triples() for entry in self.intermediate],
-            "realized": [rational_to_decimal(entry) for entry in self.realized],
-            "decoded": self.decoded,
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """The ledger document, laid out byte for byte as
-        ``json.dumps(self.to_dict(), indent=2)`` lays it out."""
-        out: list[str] = []
-        _emit(self.to_dict(), "\n", out)
-        return "".join(out)
+        """The document, written field by field in format v1's layout."""
+        config, count, code = self.config, self.count, to_decimal(self.code)
+        infinite, degenerate = ("true" if flag else "false" for flag in (count.is_infinite, count.is_degenerate))
+        realized = _list_json(['"' + rational_to_decimal(entry) + '"' for entry in self.realized])
+        return (
+            f'{{\n  "version": "{LEDGER_VERSION}",\n  "config": {{\n'
+            f'    "base": {config.base},\n'
+            f'    "dims": {config.dims},\n'
+            f'    "alphabet": {encode_basestring_ascii(config.alphabet)},\n'
+            f'    "bundle_coordinate": {config.bundle_coordinate},\n'
+            f'    "quality_signs": "{config.quality_signs}"\n  }},\n'
+            f'  "word": {encode_basestring_ascii(self.word)},\n'
+            f'  "code": "{code}",\n'
+            f'  "sequence_head": "{code}",\n'
+            f'  "lambda": {{\n    "value": {_hyperreal_json(count.value)},\n'
+            f'    "infinite": {infinite},\n'
+            f'    "degenerate": {degenerate}\n  }},\n'
+            f'  "bundle_sign": "{config.quality_signs[config.bundle_coordinate - 3]}",\n'
+            f'  "ultrasubparticle": {_list_json(map(_hyperreal_json, self.ultrasubparticle))},\n'
+            f'  "intermediate": {_list_json(map(_hyperreal_json, self.intermediate))},\n'
+            f'  "realized": {realized},\n'
+            f'  "decoded": {encode_basestring_ascii(self.decoded)}\n}}'
+        )
 
     @classmethod
     def from_dict(cls, data) -> "Ledger":
@@ -172,7 +169,7 @@ class Ledger:
             raise LedgerError("sequence_head must equal code")
         count = _parse_count(data["lambda"], config.base)
         sign_text = data["bundle_sign"]
-        if sign_text != ("+" if config.bundle_sign == 1 else "-"):
+        if sign_text != config.quality_signs[config.bundle_coordinate - 3]:
             raise LedgerError(f"bundle_sign {brief(sign_text)} disagrees with the config quality_signs")
         triples = partial(Hyperreal.from_triples, config.base)
         ultra = _parse_coords(data["ultrasubparticle"], config, "ultrasubparticle", triples)
@@ -193,47 +190,15 @@ class Ledger:
         return cls.from_dict(data)
 
 
-def _emit(value, newline: str, out: list) -> None:
-    """Append the JSON text of a tree of str, int, bool, list and dict to
-    ``out``, as ``json.dumps(value, indent=2)`` writes it.  ``newline`` is
-    a line break followed by the indentation of the current depth."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        opening = "[" + inner
-        for item in value:
-            out.append(opening)
-            opening = "," + inner
-            # Most items of a ledger list are the strings and ints of a
-            # triple: write those here rather than one call deeper.
-            if type(item) is str:
-                out.append(encode_basestring_ascii(item))
-            elif type(item) is int:
-                out.append(int.__repr__(item))
-            else:
-                _emit(item, inner, out)
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        opening = "{" + inner
-        for key, item in value.items():
-            out.append(f"{opening}{encode_basestring_ascii(key)}: ")
-            opening = "," + inner
-            _emit(item, inner, out)
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} to a ledger")
+def _hyperreal_json(value: Hyperreal) -> str:
+    """A hyperreal's triples at depth 2, where format v1 puts every one."""
+    rows = [f'      [\n        {exp},\n        "{num}",\n        "{den}"\n      ]' for exp, num, den in value.to_triples()]
+    return "[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"
+
+
+def _list_json(items) -> str:
+    """A non-empty top-level list, one item a line."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
 def _parse_natural(value, field: str) -> int:

@@ -27,7 +27,7 @@ def _realized(config: Config, fields: dict):
     try:
         return realize(IntermediateSubparticle(config.base, fields["intermediate"])).coords
     except (ValueError, InfiniteCoordinateError) as exc:
-        raise IntegrityError(f"stored intermediate cannot be realized: {exc}") from exc
+        raise IntegrityError(f"stage 'realized': stored intermediate cannot be realized: {exc}") from exc
 
 
 def _decoded(config: Config, fields: dict):
@@ -38,12 +38,12 @@ def _decoded(config: Config, fields: dict):
     code, stored = value.numerator * config.bundle_sign, fields.get("decoded")
     if value.denominator != 1 or code < 0:
         raise IntegrityError(
-            f"realized coordinate {config.bundle_coordinate} does not carry a natural number: "
+            f"stage 'decoded': realized coordinate {config.bundle_coordinate} does not carry a natural number: "
             f"{brief(rational_to_decimal(value * config.bundle_sign))}"
         )
     if stored is not None and (length := word_length(code, config.codec_alphabet)) != len(stored):
         raise IntegrityError(
-            f"recomputed code names a word of {brief(length)} symbols, "
+            f"stage 'decoded': recomputed code names a word of {brief(length)} symbols, "
             f"but the stored decoded word has {len(stored)}"
         )
     return decode(code, config.codec_alphabet)
@@ -57,8 +57,7 @@ STAGES = (
     ("code", "code", lambda config, f: encode(f["word"], config.codec_alphabet)),
     ("count", "lambda", lambda config, f: lambda_for_code(f["code"], config.base)),
     ("ultrasubparticle", "ultrasubparticle", lambda config, f: config.particle.coords()),
-    ("intermediate", "intermediate", lambda config, f: bundle(
-        config.particle, config.bundle_coordinate, f["count"], f["ultrasubparticle"]).coords),
+    ("intermediate", "intermediate", lambda config, f: bundle(config.particle, config.bundle_coordinate, f["count"]).coords),
     ("realized", "realized", _realized),
     ("decoded", "decoded", _decoded),
 )

@@ -102,3 +102,38 @@ def horner_decimal(text):
     for ch in body:
         n = n * 10 + "0123456789".index(ch)
     return sign * n
+
+
+def ledger_document(ledger):
+    """Ledger format v1 as a dict, built from the ledger's fields with str(),
+    Fraction and sorted term lists rather than the library's serializers."""
+    config = ledger.config
+
+    def triples(value):
+        return [[exp, str(Fraction(coeff).numerator), str(Fraction(coeff).denominator)]
+                for exp, coeff in sorted(value.terms.items(), reverse=True)]
+
+    terms = ledger.count.value.terms
+    return {
+        "version": "1",
+        "config": {
+            "base": config.base,
+            "dims": config.dims,
+            "alphabet": config.alphabet,
+            "bundle_coordinate": config.bundle_coordinate,
+            "quality_signs": config.quality_signs,
+        },
+        "word": ledger.word,
+        "code": str(ledger.code),
+        "sequence_head": str(ledger.code),
+        "lambda": {
+            "value": triples(ledger.count.value),
+            "infinite": any(exp > 0 for exp in terms),
+            "degenerate": not terms,
+        },
+        "bundle_sign": {1: "+", -1: "-"}[config.signs[config.bundle_coordinate - 3]],
+        "ultrasubparticle": [triples(entry) for entry in ledger.ultrasubparticle],
+        "intermediate": [triples(entry) for entry in ledger.intermediate],
+        "realized": [str(Fraction(entry)) for entry in ledger.realized],
+        "decoded": ledger.decoded,
+    }

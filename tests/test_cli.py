@@ -181,7 +181,7 @@ class TestRealize:
         code, out, err = run(capsys, "realize", "--ledger", str(target))
         assert (code, out) == (5, "")
         assert err == (
-            f"integrity failure: recomputed code names a word of {10**30} symbols, "
+            f"integrity failure: stage 'decoded': recomputed code names a word of {10**30} symbols, "
             "but the stored decoded word has 1\n"
         )
 

@@ -58,6 +58,12 @@ class TestUltrasubparticle:
     def test_coords_layout(self):
         assert U4.coords() == (hr({0: 7}), one(), eps(), -eps())
 
+    def test_coords_are_built_once_and_take_no_part_in_equality(self):
+        assert U4.coords() is U4.coords()
+        twin = Ultrasubparticle(10, 4, naming=7, signs=(1, -1))
+        assert twin == U4 and hash(twin) == hash(U4)
+        assert repr(twin) == "Ultrasubparticle(base=10, dims=4, naming=7, signs=(1, -1))"
+
     def test_count_is_one(self):
         count = U4.count
         assert count.value == one()
@@ -210,15 +216,9 @@ class TestBundle:
         with pytest.raises(BaseMismatchError):
             bundle(U4, 3, lambda_for_code(1, 2))
 
-    def test_given_coords_give_the_same_bundle(self):
-        particle = Ultrasubparticle(2, 32, signs=tuple(random.Random(5).choice((1, -1)) for _ in range(30)))
-        for code in (0, 1, 2, 999):
-            count = lambda_for_code(code, 2)
-            assert bundle(particle, 4, count, particle.coords()) == bundle(particle, 4, count)
-
     def test_untranslated_slots_are_passed_through(self):
         source = U4.coords()
-        got = bundle(U4, 3, lambda_for_code(29, 10), source)
+        got = bundle(U4, 3, lambda_for_code(29, 10))
         assert got.coords[0] is source[0] and got.coords[3] is source[3]
         assert got.coords[2] == hr({0: 29})
 

@@ -63,6 +63,27 @@ def test_five_thousand_term_sum_is_exact():
     assert pretty(parse(text)) == " + ".join(["1"] * 5000)
 
 
+def dataclass_repr(node) -> str:
+    """A tree's repr as a generated dataclass repr writes it, by recursion."""
+    children = ", ".join(map(dataclass_repr, node.children)) + ("," if len(node.children) == 1 else "")
+    return f"ExprAst(kind={node.kind!r}, children=({children}), value={node.value!r}, span={node.span!r})"
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_three_thousand_term_tree_compares_hashes_and_prints(op):
+    tree, spaced = parse(op.join(["1"] * 3000)), parse(f" {op} ".join(["1"] * 3000))
+    assert tree == spaced and hash(tree) == hash(spaced)  # the spans differ, the structure does not
+    assert tree != parse(op.join(["1"] * 2999 + ["2"]))
+    assert tree != parse(op.join(["1"] * 2999))
+    assert repr(tree).count("ExprAst(") == 5999
+    assert parse(pretty(tree)) == tree
+
+
+def test_tree_repr_is_the_dataclass_form():
+    for text in ("1", "-eps^2", "st(1/2 + H) * (3 - eps)", "1+2-3*4"):
+        assert repr(parse(text)) == dataclass_repr(parse(text))
+
+
 def test_long_mixed_chain_matches_a_left_fold():
     rng = random.Random(41)
     for _ in range(20):
@@ -80,8 +101,7 @@ def test_long_mixed_chain_matches_a_left_fold():
         expected = sum(sign * term for sign, term in zip(signs, terms))
         tree = parse(text)
         assert eval_ast(tree, 10) == Hyperreal.from_rational(10, expected)
-        # compared as text: the dataclass equality of two such trees recurses per link
-        assert pretty(parse(pretty(tree))) == pretty(tree)
+        assert parse(pretty(tree)) == tree
 
 
 def test_chain_keeps_left_associativity():

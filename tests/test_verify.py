@@ -55,6 +55,13 @@ def test_verify_names_a_tampered_decoded_word():
         verify_ledger(Ledger.from_dict(data))
 
 
+def test_verify_names_a_decoded_word_of_another_length():
+    data = run_pipeline("ab").to_dict()
+    data["decoded"] = "abc"
+    with pytest.raises(IntegrityError, match="^stage 'decoded': recomputed code names a word of 2 symbols, "):
+        verify_ledger(Ledger.from_dict(data))
+
+
 # Seven hand edits of the ledger of "ab", each with the stage that disagrees.
 # The code is not recomputed (that would encode), so an edited code shows at
 # the first stage computed from it, and an edited word at the code stage.
