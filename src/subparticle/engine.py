@@ -285,7 +285,9 @@ def bundle(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> Inter
     translation subtracts the particle's own count and eps there.
     """
     step = _translation(particle, coord, count.value - 1)
-    return IntermediateSubparticle(particle.base, apply_translation_times(step, particle.coords(), 1))
+    bundled = object.__new__(IntermediateSubparticle)  # well formed by construction: not checked again
+    vars(bundled).update(base=particle.base, coords=apply_translation_times(step, particle.coords(), 1))
+    return bundled
 
 
 def realize(subparticle: IntermediateSubparticle) -> RealizedVector:

@@ -12,6 +12,8 @@ document by that layout, field by field, and is the one writer of ledger
 text; ``Ledger.from_dict`` is the one reader.  ``Ledger.to_dict()`` is the
 parsed document, and ``json.dumps(ledger.to_dict(), indent=2)`` equals
 ``ledger.to_json()`` byte for byte.
+``Config.from_dict`` keeps the 64 configs it built last, by their five
+settings of exact type (``int``, ``str``), so ledgers share their config.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
 
 from .codec import DEFAULT_ALPHABET, Alphabet
@@ -90,7 +92,12 @@ class Config:
         unknown = set(data) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
+        if cls is Config and [type(data.get(key)) for key in _CONFIG_KEYS] == [int, int, str, int, str]:
+            return _config_memo(*[data[key] for key in _CONFIG_KEYS])  # exact types: True and 1.0 miss 1
         return cls(**data)
+
+
+_config_memo = lru_cache(maxsize=64)(Config)
 
 
 @dataclass(frozen=True)

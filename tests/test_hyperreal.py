@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subparticle import hyperreal
 from subparticle.hyperreal import (
     BaseMismatchError,
     Classification,
@@ -440,3 +441,69 @@ def test_error_messages_quote_huge_values_briefly():
         Hyperreal.from_triples(10, [[0, "1" * 20000 + "x", "1"]])
     assert len(str(info.value)) < 200
     assert "20001 characters" in str(info.value)
+
+
+# -- dense products and powers: packed ints against the naive oracle -----------
+#
+# Dense operands are multiplied as packed ints (Kronecker substitution), so
+# every sign, cancellation, denominator and digit width must come back out
+# exactly as the term-by-term convolution gives it.
+
+
+def _coefficients(integral):
+    numerators = st.integers(min_value=-9, max_value=9) | st.integers(min_value=-10**30, max_value=10**30)
+    if integral:
+        return numerators
+    denominators = st.integers(min_value=1, max_value=12) | st.integers(min_value=1, max_value=10**30)
+    return st.builds(Fraction, numerators, denominators)
+
+
+dense_maps = st.booleans().flatmap(
+    lambda integral: st.dictionaries(st.integers(min_value=-6, max_value=6), _coefficients(integral), max_size=8)
+)
+bases = st.sampled_from([2, 10])
+
+
+@settings(deadline=None)
+@given(bases, dense_maps, dense_maps)
+def test_dense_products_match_the_naive_convolution(base, xs, ys):
+    x, y = Hyperreal(base, xs), Hyperreal(base, ys)
+    for left, right in ((x, y), (x + y, x - y), (x, -x)):
+        product = left * right
+        assert_normal_form(product)
+        assert product.base == base
+        assert dict(product.terms) == convolve_terms(list(left.terms.items()), list(right.terms.items()))
+
+
+@settings(deadline=None)
+@given(bases, dense_maps, st.integers(min_value=0, max_value=12))
+def test_dense_powers_match_repeated_convolution(base, xs, exponent):
+    x = Hyperreal(base, xs)
+    expected = {0: F(1)}
+    for _ in range(exponent):
+        expected = convolve_terms(list(expected.items()), list(x.terms.items()))
+    power = x ** exponent
+    assert_normal_form(power)
+    assert power.base == base
+    assert dict(power.terms) == expected
+
+
+def test_dense_examples_pack_and_cancel():
+    h = Hyperreal.generator(10)
+    assert (h + 1) ** 3 * (h - 1) ** 3 == hr({6: 1, 4: -3, 2: 3, 0: -1})
+    assert ((F(1, 2) - F(1, 3) * Hyperreal.epsilon(2)) ** 32).st() == F(1, 2**32)
+    assert (h * h + h + 1) * (h * h - h + 1) == hr({4: 1, 2: 1, 0: 1})
+
+
+def test_sparse_operands_never_pack(monkeypatch):
+    def refuse(digits, width):
+        raise AssertionError("a sparse operand was packed")
+
+    monkeypatch.setattr(hyperreal, "_pack", refuse)
+    far = Hyperreal.monomial(10, 1, 100000)
+    h, eps = Hyperreal.generator(10), Hyperreal.epsilon(10)
+    assert (far + 1) * (far - 1) == hr({200000: 1, 0: -1})
+    assert (far + 1) ** 3 == hr({300000: 1, 200000: 3, 100000: 3, 0: 1})
+    assert (far + eps) * (h + 1) == hr({100001: 1, 100000: 1, 0: 1, -1: 1})
+    wide, narrow = far + h + 1, far - h + 1  # enough terms to pack, but too wide a span
+    assert dict((wide * narrow).terms) == convolve_terms(list(wide.terms.items()), list(narrow.terms.items()))

@@ -1,5 +1,6 @@
 """Config and ledger serialization tests."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import subparticle.engine as engine
+from subparticle.cli import main
 from subparticle.codec import DEFAULT_ALPHABET
 from subparticle.ledger import LEDGER_VERSION, Config, Ledger, LedgerError
 from subparticle.pipeline import IntegrityError, recompute_decoded, run_pipeline
@@ -63,6 +66,25 @@ class TestConfig:
         config = Config(base=2, dims=5, alphabet="abcd", bundle_coordinate=4, quality_signs="-+-")
         assert Config.from_dict(config.to_dict()) == config
         assert config.bundle_sign == 1
+
+    def test_parsed_configs_are_shared(self):
+        data = Config(base=2, dims=32, bundle_coordinate=4).to_dict()
+        assert Config.from_dict(data) is Config.from_dict(dict(data))
+        text = run_pipeline("ab", Config.from_dict(data)).to_json()
+        assert Ledger.from_json(text).config is Ledger.from_json(text).config
+
+    @pytest.mark.parametrize("key", ["base", "dims", "alphabet", "bundle_coordinate", "quality_signs"])
+    @pytest.mark.parametrize("bad", [[1], {"a": 1}, True, 10.0, 3.0, None])
+    def test_inexact_settings_are_ledger_errors_after_a_good_parse(self, key, bad, tmp_path, capsys):
+        data = run_pipeline("ab").to_dict()
+        Ledger.from_dict(data)  # the good config is in the memo now; 10.0 and True must still miss it
+        data["config"][key] = bad
+        with pytest.raises(LedgerError, match="^invalid config: "):
+            Ledger.from_dict(data)
+        target = tmp_path / "ledger.json"
+        target.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["realize", "--ledger", str(target)]) == 4
+        assert capsys.readouterr().err.startswith("malformed ledger: invalid config: ")
 
 
 class TestLedgerRoundTrip:
@@ -367,3 +389,39 @@ def test_recompute_refuses_a_code_whose_word_differs_in_length():
     data["intermediate"][2] = [[0, str(27**3), "1"]]  # a 3-symbol word's code
     with pytest.raises(IntegrityError, match="word of 3 symbols, but the stored decoded word has 2"):
         recompute_decoded(Ledger.from_dict(data))
+
+
+@pytest.mark.parametrize(
+    "count_slot, message",
+    [
+        ([[0, "1", "2"]], "hypernatural coefficients must be nonnegative integers"),
+        ([[0, "-1", "1"]], "hypernatural coefficients must be nonnegative integers"),
+        ([[-1, "1", "1"]], "a hypernatural cannot carry negative powers of H"),
+    ],
+)
+def test_stored_count_slot_is_checked_when_realized(count_slot, message):
+    data = run_pipeline("ab").to_dict()
+    data["intermediate"][1] = count_slot
+    with pytest.raises(IntegrityError) as info:
+        recompute_decoded(Ledger.from_dict(data))
+    assert str(info.value) == f"stage 'realized': stored intermediate cannot be realized: {message}"
+
+
+def test_stored_intermediate_keeps_its_length_check():
+    ledger = run_pipeline("ab")
+    short = dataclasses.replace(ledger, intermediate=ledger.intermediate[:2])
+    with pytest.raises(IntegrityError, match="^stage 'realized': .*needs at least 3 coordinates"):
+        recompute_decoded(short)
+
+
+def test_run_pipeline_checks_the_bundled_vector_once(monkeypatch):
+    checks = []
+
+    def counting(base, entries, what):
+        checks.append(what)
+        return check(base, entries, what)
+
+    check = engine._hyperreal_vector
+    monkeypatch.setattr(engine, "_hyperreal_vector", counting)
+    assert run_pipeline("ab").decoded == "ab"
+    assert checks.count("an intermediate subparticle") == 1
