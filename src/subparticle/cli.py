@@ -36,7 +36,10 @@ EXIT_INTERNAL_ERROR = 7
 
 
 def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:  # stderr is gone (a closed pipe): the exit code still tells
+        pass
     return code
 
 

@@ -45,11 +45,11 @@ class Alphabet:
     def __post_init__(self):
         if not isinstance(self.symbols, str) or not self.symbols:
             raise ValueError(f"alphabet must be a nonempty string, got {radix.brief(self.symbols)}")
-        values, scaled_log = _tables(self.symbols)
+        values = {symbol: value for value, symbol in enumerate(self.symbols, start=1)}
         if len(values) != len(self.symbols):
             raise ValueError("alphabet symbols must be distinct")
         object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_scaled_log", scaled_log)
+        object.__setattr__(self, "_scaled_log", (len(values) ** _LOG_SCALE).bit_length())
 
     @property
     def size(self) -> int:
@@ -61,15 +61,6 @@ class Alphabet:
 LEAF = 64
 # Scale of the fixed-point log2(A) that first bounds a word's length.
 _LOG_SCALE = 256
-
-
-@lru_cache(maxsize=64)
-def _tables(symbols: str) -> tuple[dict, int]:
-    """Per symbol string, built once: the symbol -> value index, and the bit
-    length of ``A**_LOG_SCALE``.  Each Config builds an Alphabet, and each
-    ledger read builds a Config, so alphabets of the same symbols share them."""
-    values = {symbol: value for value, symbol in enumerate(symbols, start=1)}
-    return values, (len(symbols) ** _LOG_SCALE).bit_length()
 
 
 _DEFAULT = Alphabet()

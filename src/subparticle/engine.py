@@ -6,11 +6,13 @@ An ultrasubparticle is the primitive coordinate vector
 
 with an opaque naming tag k in the first slot, a count of 1 in the second,
 and one signed infinitesimal ``eps = 1/B**omega`` per quality coordinate.
-Bundling a chosen quality with a hypernatural count scales both the count
-slot and that quality up by the count through a single affine translation,
-the closed form of count-fold iteration.  Realization then takes the
-standard part of every quality coordinate, suppresses the first two slots,
-and leaves an exact rational vector whose bundled entry carries the code.
+Bundling a chosen quality with a hypernatural count writes the count on
+the count slot and the count times that quality's signed eps on the
+quality, the closed form of count-fold iteration.  The affine translations
+below are the paper's construction of that form and its reference;
+``bundle`` writes the two slots itself.  Realization then takes the standard
+part of every quality coordinate, suppresses the first two slots, and
+leaves an exact rational vector whose bundled entry carries the code.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class Ultrasubparticle:
         _check_dims(self.dims)
         check_natural(self.naming, "naming")
         signs = alternating_signs(self.dims) if self.signs is None else tuple(self.signs)
-        if len(signs) != self.dims - 2 or any(s not in (-1, 1) for s in signs):
+        if len(signs) != self.dims - 2 or any(type(s) is not int or s not in (-1, 1) for s in signs):
             raise ValueError(f"signs must be +1 or -1 ('+' or '-'), one per coordinate 3..{self.dims}")
         object.__setattr__(self, "signs", signs)
         eps = Hyperreal.epsilon(self.base)
@@ -226,28 +228,24 @@ class QualitySpec:
             check_natural(self.tail_scale, "tail_scale")
 
 
-def _translation(particle: Ultrasubparticle, coord: int, delta: Hyperreal) -> AffineMap:
-    """``delta`` on the count slot and ``delta`` signed eps on ``coord``:
-    the translation that takes a count of 1 to a count of ``delta + 1``.
-    A ``delta`` of another base fails in the product below."""
-    step = Hyperreal.epsilon(particle.base).scale(particle.sign(coord))  # checks coord
-    translation = [Hyperreal.zero(particle.base)] * particle.dims
-    translation[1] = delta
-    translation[coord - 1] = delta * step
-    return AffineMap(particle.base, tuple(translation))
-
-
 def make_translation(particle: Ultrasubparticle, coord: int) -> AffineMap:
     """Single bundling step: +1 on the count slot, one signed eps on ``coord``."""
-    return _translation(particle, coord, Hyperreal.one(particle.base))
+    return make_lambda_translation(particle, coord, Hypernatural.from_int(2, particle.base))
 
 
 def make_lambda_translation(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> AffineMap:
-    """One-shot bundling translation for a count: applied once, it equals
-    count-1 applications of the single step."""
+    """One-shot bundling translation for a count: ``count - 1`` on the count
+    slot and ``count - 1`` signed eps on ``coord``.  Applied once, it equals
+    count-1 applications of the single step.  A count of another base fails
+    in the product below."""
     if count.is_degenerate:
         raise ValueError("count must be at least 1")
-    return _translation(particle, coord, count.value - 1)
+    particle.sign(coord)  # checks coord
+    delta = count.value - 1
+    translation = [Hyperreal.zero(particle.base)] * particle.dims
+    translation[1] = delta
+    translation[coord - 1] = delta * particle.coords()[coord - 1]
+    return AffineMap(particle.base, tuple(translation))
 
 
 def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, ...]:
@@ -256,8 +254,7 @@ def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, 
     ``times`` may be an int, a Hypernatural, or any Hyperreal count (one-shot
     translations subtract 1 from possibly infinite counts, which leaves
     natural-number form); for finite times the closed form equals the literal
-    iteration exactly, and times 0 is the identity.  Slots whose shift is
-    zero are passed through unchanged.
+    iteration exactly, and times 0 is the identity.
     """
     coords = _hyperreal_vector(step.base, coords, "a coordinate vector")
     if len(coords) != step.dims:
@@ -270,23 +267,25 @@ def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, 
         raise TypeError(f"times must be an int, Hypernatural, or Hyperreal, got {type(times).__name__}")
     if times.base != step.base:
         raise BaseMismatchError("times base differs from the map base")
-    pairs = zip(coords, step.translation)
-    return tuple([entry + times * shift if shift._terms else entry for entry, shift in pairs])
+    return tuple([entry + times * shift for entry, shift in zip(coords, step.translation)])
 
 
 def bundle(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> IntermediateSubparticle:
     """Bundle ``count`` copies of the particle along one quality coordinate.
 
-    A single application of the count-dependent translation leaves the count
-    slot holding ``count`` and coordinate ``coord`` holding
-    ``count * (sign * eps)``, exactly the closed form of the count-fold sum
-    of the signed infinitesimal; every other coordinate is untouched.  The
-    degenerate count 0 (the empty word's code) zeroes both slots, since its
-    translation subtracts the particle's own count and eps there.
+    The closed form of the count-fold sum: the count slot holds ``count``,
+    coordinate ``coord`` holds ``count * (sign * eps)``, and every other
+    coordinate is the particle's own.  It equals one application of
+    ``make_lambda_translation``, which the tests hold it to.  The degenerate
+    count 0 (the empty word's code) zeroes both slots.  A count of another
+    base fails in the one product.
     """
-    step = _translation(particle, coord, count.value - 1)
+    particle.sign(coord)  # checks coord
+    coords = list(particle.coords())
+    coords[1] = count.value
+    coords[coord - 1] = count.value * coords[coord - 1]
     bundled = object.__new__(IntermediateSubparticle)  # well formed by construction: not checked again
-    vars(bundled).update(base=particle.base, coords=apply_translation_times(step, particle.coords(), 1))
+    vars(bundled).update(base=particle.base, coords=tuple(coords))
     return bundled
 
 

@@ -37,7 +37,6 @@ RationalLike = Union[Fraction, int]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_MAPPING_TYPES = (dict, MappingProxyType)  # checked by type() first: isinstance on an ABC is slow
 _DENSE_SPAN = 4  # see the module docstring
 _PACK_MIN_TERMS = 9  # fewer term pairs than this multiply faster in the loop
 
@@ -93,8 +92,7 @@ class Hyperreal:
         _check_base(base)
         clean: dict[int, Fraction] = {}
         if terms is not None:
-            is_mapping = type(terms) in _MAPPING_TYPES or isinstance(terms, Mapping)
-            items = terms.items() if is_mapping else terms
+            items = terms.items() if isinstance(terms, Mapping) else terms
             for exp, coeff in items:
                 _check_exponent(exp)
                 value = clean.get(exp, _ZERO) + _as_fraction(coeff)

@@ -1,11 +1,15 @@
 """Command line behavior: outputs and the documented exit-code map."""
 
 import json
+import os
+import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
 
+import subparticle
 from subparticle import cli
 from subparticle.cli import main
 from subparticle.codec import DEFAULT_ALPHABET
@@ -373,3 +377,25 @@ class TestLastResort:
         self.raise_from_eval(monkeypatch, exc)
         with pytest.raises(type(exc)):
             main(["eval", "1"])
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["eval", "1+"], 2), (["realize", "--ledger", "no-such-ledger.json"], 4), (["encode", "--word", "ab"], 7)],
+)
+def test_exit_code_holds_when_stdout_and_stderr_are_a_closed_pipe(argv, expected, tmp_path):
+    src = pathlib.Path(subparticle.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write now fails with a broken pipe
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "subparticle", *argv],
+            stdout=write_end,
+            stderr=write_end,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == expected

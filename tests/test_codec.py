@@ -153,10 +153,9 @@ def test_unary_decode_matches_loop_reference(code):
     assert decode(code, alphabet_of(1)) == loop_decode(code, "a")
 
 
-def test_symbol_index_is_built_once_per_symbol_string():
+def test_symbol_index_takes_no_part_in_equality():
     alphabet = Alphabet("xyz")
     assert alphabet._values == {"x": 1, "y": 2, "z": 3}
-    assert Alphabet("xyz")._values is alphabet._values
     assert Alphabet("xyz") == alphabet
     assert hash(Alphabet("xyz")) == hash(alphabet)
     assert "_values" not in repr(alphabet)

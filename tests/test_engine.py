@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subparticle.codec import DEFAULT_ALPHABET, Alphabet, decode, encode
 from subparticle.engine import (
@@ -80,8 +82,9 @@ class TestUltrasubparticle:
             Ultrasubparticle(10, 4, naming=-1)
         with pytest.raises(ValueError):
             Ultrasubparticle(10, 4, signs=(1,))
-        with pytest.raises(ValueError):
-            Ultrasubparticle(10, 4, signs=(1, 2))
+        for sign in (2, 1.0, True, F(1)):  # a sign is the int +1 or -1, not a value equal to one
+            with pytest.raises(ValueError):
+                Ultrasubparticle(10, 4, signs=(sign, -1))
 
 
 class TestMakeTranslation:
@@ -346,9 +349,10 @@ class TestEndToEndRecovery:
 
 
 class TestOneTranslationForEveryCount:
-    """make_translation, make_lambda_translation and bundle share one
-    translation, ``delta`` on the count slot and ``delta`` signed eps on the
-    bundled coordinate, with ``delta = count - 1``."""
+    """make_translation and make_lambda_translation share one translation,
+    ``delta`` on the count slot and ``delta`` signed eps on the bundled
+    coordinate, with ``delta = count - 1``; bundle writes its closed form,
+    and the properties below hold it to one application of that translation."""
 
     def particle(self):
         return Ultrasubparticle(10, 6, naming=4, signs=(1, -1, -1, 1))
@@ -377,6 +381,8 @@ class TestOneTranslationForEveryCount:
         with pytest.raises(BaseMismatchError):
             make_lambda_translation(U4, 3, Hypernatural.from_int(2, 2))
         with pytest.raises(BaseMismatchError):
+            bundle(U4, 3, lambda_for_code(5, 2))
+        with pytest.raises(BaseMismatchError):
             quality_bundle(U4, QualitySpec(entries=((3, lambda_for_code(5, 2)),)))
 
     def test_coordinates_of_another_base_are_refused_even_where_nothing_shifts(self):
@@ -385,3 +391,44 @@ class TestOneTranslationForEveryCount:
             apply_translation_times(step, (zero(), one(), eps(), eps(2)), 1)
         with pytest.raises(TypeError):
             apply_translation_times(step, (zero(), one(), eps(), 0), 1)
+
+
+@st.composite
+def particles_and_coords(draw):
+    """A particle of base 2 or 10 with 3..12 coordinates, random signs and
+    naming, and any of its quality coordinates."""
+    base = draw(st.sampled_from((2, 10)))
+    dims = draw(st.integers(min_value=3, max_value=12))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=dims - 2, max_size=dims - 2))
+    naming = draw(st.integers(min_value=0, max_value=10**12))
+    particle = Ultrasubparticle(base, dims, naming=naming, signs=tuple(signs))
+    return particle, draw(st.integers(min_value=3, max_value=dims))
+
+
+def counts(base):
+    """Finite counts 1..50, ``code*H``, ``H + n`` and ``k*H^2 + n``."""
+    finite, offset = st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=50)
+    return st.one_of(
+        finite.map(lambda n: Hypernatural.from_int(n, base)),
+        st.integers(min_value=1, max_value=10**30).map(lambda code: lambda_for_code(code, base)),
+        offset.map(lambda n: Hypernatural(Hyperreal.generator(base) + n)),
+        st.tuples(finite, offset).map(lambda kn: Hypernatural(Hyperreal.monomial(base, kn[0], 2) + kn[1])),
+    )
+
+
+@settings(deadline=None)
+@given(particles_and_coords(), st.data())
+def test_bundle_is_one_application_of_the_lambda_translation(particle_and_coord, data):
+    particle, coord = particle_and_coord
+    count = data.draw(counts(particle.base))
+    got = bundle(particle, coord, count).coords
+    assert got == apply_translation_times(make_lambda_translation(particle, coord, count), particle.coords(), 1)
+    assert all(got[i] is particle.coords()[i] for i in range(particle.dims) if i not in (1, coord - 1))
+
+
+@given(particles_and_coords())
+def test_bundle_of_count_zero_zeroes_its_two_slots_and_keeps_the_rest(particle_and_coord):
+    particle, coord = particle_and_coord
+    got = bundle(particle, coord, lambda_for_code(0, particle.base)).coords
+    assert got[1].is_zero() and got[coord - 1].is_zero()
+    assert all(got[i] is particle.coords()[i] for i in range(particle.dims) if i not in (1, coord - 1))

@@ -3,6 +3,7 @@ refuse each invalid setting alike, with a short message and no traceback."""
 
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +37,9 @@ CONFIG_ROWS = [
     ("bundle_coordinate", "3", lambda v: Ultrasubparticle(10, 8).sign(v), IndexError),
     ("quality_signs", "++", lambda v: Ultrasubparticle(10, 8, signs=(1, 1)), ValueError),
     ("quality_signs", "+-x-+-", lambda v: Ultrasubparticle(10, 8, signs=(1, -1, "x", -1, 1, -1)), ValueError),
+    # a sign is the int +1 or -1: a float, bool or Fraction equal to one is refused
+    ("quality_signs", 1.0, lambda v: Ultrasubparticle(10, 4, signs=(v, -1)), ValueError),
+    ("quality_signs", True, lambda v: Ultrasubparticle(10, 4, signs=(v, -1)), ValueError),
     ("quality_signs", None, None, None),
     ("quality_signs", 0, None, None),
     ("quality_signs", False, None, None),
@@ -50,6 +54,7 @@ LIBRARY_ONLY = [
     (lambda: Ultrasubparticle(HUGE, 4), "base must be an integer >= 2, got -1000"),
     (lambda: Hyperreal.one(HUGE), "base must be an integer >= 2, got -1000"),
     (lambda: Ultrasubparticle(10, 4, naming=-1), "naming must be a nonnegative integer, got -1"),
+    (lambda: Ultrasubparticle(10, 4, signs=(Fraction(1), -1)), "signs must be +1 or -1"),
     (lambda: QualitySpec(entries=(), tail_scale=-1), "tail_scale must be a nonnegative integer, got -1"),
     (lambda: lambda_for_code(-1, 10), "code must be a nonnegative integer, got -1"),
     (lambda: Hypernatural.from_int(-1, 10), "n must be a nonnegative integer, got -1"),
