@@ -6,13 +6,14 @@ An ultrasubparticle is the primitive coordinate vector
 
 with an opaque naming tag k in the first slot, a count of 1 in the second,
 and one signed infinitesimal ``eps = 1/B**omega`` per quality coordinate.
-Bundling a chosen quality with a hypernatural count writes the count on
+Bundling a chosen quality with a hypernatural count leaves the count on
 the count slot and the count times that quality's signed eps on the
 quality, the closed form of count-fold iteration.  The affine translations
-below are the paper's construction of that form and its reference;
-``bundle`` writes the two slots itself.  Realization then takes the standard
-part of every quality coordinate, suppresses the first two slots, and
-leaves an exact rational vector whose bundled entry carries the code.
+below are the paper's construction of that form; ``bundle`` applies the
+one-shot translation on the two slots it moves, without building the map.
+Realization then takes the standard part of every quality coordinate,
+suppresses the first two slots, and leaves an exact rational vector whose
+bundled entry carries the code.
 """
 
 from __future__ import annotations
@@ -273,17 +274,20 @@ def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, 
 def bundle(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> IntermediateSubparticle:
     """Bundle ``count`` copies of the particle along one quality coordinate.
 
-    The closed form of the count-fold sum: the count slot holds ``count``,
-    coordinate ``coord`` holds ``count * (sign * eps)``, and every other
-    coordinate is the particle's own.  It equals one application of
-    ``make_lambda_translation``, which the tests hold it to.  The degenerate
-    count 0 (the empty word's code) zeroes both slots.  A count of another
-    base fails in the one product.
+    One application of the one-shot translation, written on the two slots it
+    moves: ``count - 1`` is added to the count slot and ``count - 1`` signed
+    eps to coordinate ``coord``, which leaves ``count`` and
+    ``count * (sign * eps)`` there, the closed form of the count-fold sum.
+    Every other coordinate is the particle's own.  The tests hold it to
+    ``make_lambda_translation`` applied once.  The degenerate count 0 (the
+    empty word's code) zeroes both slots.  A count of another base fails in
+    the first sum.
     """
     particle.sign(coord)  # checks coord
+    delta = count.value - 1
     coords = list(particle.coords())
-    coords[1] = count.value
-    coords[coord - 1] = count.value * coords[coord - 1]
+    coords[1] = coords[1] + delta
+    coords[coord - 1] = coords[coord - 1] + delta * coords[coord - 1]
     bundled = object.__new__(IntermediateSubparticle)  # well formed by construction: not checked again
     vars(bundled).update(base=particle.base, coords=tuple(coords))
     return bundled

@@ -351,8 +351,9 @@ class TestEndToEndRecovery:
 class TestOneTranslationForEveryCount:
     """make_translation and make_lambda_translation share one translation,
     ``delta`` on the count slot and ``delta`` signed eps on the bundled
-    coordinate, with ``delta = count - 1``; bundle writes its closed form,
-    and the properties below hold it to one application of that translation."""
+    coordinate, with ``delta = count - 1``; bundle adds the two shifts to the
+    particle's own slots without building the map, and the properties below
+    hold it to one application of that translation."""
 
     def particle(self):
         return Ultrasubparticle(10, 6, naming=4, signs=(1, -1, -1, 1))
