@@ -11,6 +11,7 @@ exception, reported on one line with no traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -164,7 +165,8 @@ def _add_config_flags(parser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file; flags override its values")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # one parser per process; parse_args leaves it as it was
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spc",
         description="Encode words into realized subparticle coordinate vectors and recover them.",
@@ -175,28 +177,24 @@ def _build_parser() -> argparse.ArgumentParser:
     encode_parser.add_argument("--word", required=True)
     _add_config_flags(encode_parser)
     encode_parser.add_argument("--out", default=None, help="write the ledger here instead of stdout")
-    encode_parser.set_defaults(func=_cmd_encode)
 
     realize_parser = sub.add_parser("realize", help="recompute and print the word stored in a ledger")
     realize_parser.add_argument("--ledger", required=True)
-    realize_parser.set_defaults(func=_cmd_realize)
 
     eval_parser = sub.add_parser("eval", help="evaluate a hyperreal expression")
     eval_parser.add_argument("expr", help="the expression; put -- before one that starts with '-', as in: spc eval -- -H")
     eval_parser.add_argument("--base", type=int, default=10)
-    eval_parser.set_defaults(func=_cmd_eval)
 
     roundtrip_parser = sub.add_parser("roundtrip", help="pipeline every word of a corpus file (one per line)")
     roundtrip_parser.add_argument("--corpus", required=True)
     _add_config_flags(roundtrip_parser)
-    roundtrip_parser.set_defaults(func=_cmd_roundtrip)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)  # looked up per call, so a rebound command is the one run
     except Exception as exc:  # the last resort: one documented line, no traceback
         return _fail(EXIT_INTERNAL_ERROR, f"internal error: {type(exc).__name__}: {brief(str(exc))}")
 

@@ -11,7 +11,9 @@ products, scaling, division by a monomial, and the standard part.
 and nothing implemented here depends on which infinite ``omega`` is meant.
 General division is deliberately absent: ``monomial_div`` covers the only
 divisions that ever occur.  All values are immutable and all operations
-are pure, so instances may be shared freely between threads.
+are pure, so instances may be shared freely between threads.  A value's
+wire form, its ``[exponent, numerator, denominator]`` triples, belongs to
+ledger format v1, so ``ledger.py`` alone writes and reads it.
 
 Dense products and powers (exponent span below ``_DENSE_SPAN`` times the
 term count) pack each operand over its common denominator into one int, a
@@ -24,13 +26,13 @@ result.  Other products loop over the terms; both give the same terms.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Union
 
-from .radix import brief, check_natural, is_decimal, parse_decimal, rational_to_decimal, to_decimal
+from .radix import brief, check_natural, rational_to_decimal
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
@@ -145,9 +147,6 @@ class Hyperreal:
     def terms(self) -> Mapping[int, Fraction]:
         return MappingProxyType(self._terms)
 
-    def coefficient(self, exp: int) -> Fraction:
-        return self._terms.get(exp, _ZERO)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -241,12 +240,7 @@ class Hyperreal:
 
     def scale(self, factor: RationalLike) -> "Hyperreal":
         """Multiply every coefficient by an exact rational factor."""
-        factor = _as_fraction(factor)
-        if factor == 1:
-            return self
-        if factor == -1:
-            return -self
-        return self * factor
+        return self * _as_fraction(factor)
 
     def monomial_div(self, divisor: RationalLike, exp: int) -> "Hyperreal":
         """Exact division by the single monomial ``divisor * H**exp``."""
@@ -274,43 +268,6 @@ class Hyperreal:
     def in_monad(self, real: RationalLike) -> bool:
         """True when ``self - real`` is infinitesimal, i.e. self lies in mu(real)."""
         return (self - _as_fraction(real)).classify() is Classification.INFINITESIMAL
-
-    # -- serialization --------------------------------------------------
-
-    def to_triples(self) -> list[list]:
-        """Wire form: ``[exponent, numerator, denominator]`` triples with the
-        numerator and denominator as decimal strings, descending exponent."""
-        return [
-            [exp, to_decimal(self._terms[exp].numerator), to_decimal(self._terms[exp].denominator)]
-            for exp in sorted(self._terms, reverse=True)
-        ]
-
-    @classmethod
-    def from_triples(cls, base: int, triples: Iterable) -> "Hyperreal":
-        _check_base(base)
-        terms: dict[int, Fraction] = {}
-        previous = None
-        for item in triples:
-            if not isinstance(item, (list, tuple)) or len(item) != 3:
-                raise ValueError(f"expected an [exponent, numerator, denominator] triple, got {brief(item)}")
-            exp, num, den = item
-            if not isinstance(exp, int) or isinstance(exp, bool):
-                raise ValueError(f"triple exponent must be an integer, got {brief(exp)}")
-            if previous is not None and exp >= previous:
-                raise ValueError("triples must be in strictly descending exponent order")
-            previous = exp
-            try:
-                numerator = parse_decimal(num, signed=True)
-            except ValueError:
-                raise ValueError(f"triple numerator must be a decimal string, got {brief(num)}") from None
-            denominator = parse_decimal(den) if is_decimal(den) else 0
-            if not denominator:
-                raise ValueError(f"triple denominator must be a positive decimal string, got {brief(den)}")
-            coeff = Fraction(numerator, denominator)
-            if not coeff:
-                raise ValueError("zero coefficient in serialized value")
-            terms[exp] = coeff
-        return _trusted(base, terms)
 
     # -- object protocol -------------------------------------------------
 

@@ -5,13 +5,19 @@ the word, its code, the bundling count, the coordinate vectors before and
 after bundling, the realized rational vector, and the decoded word.  All
 arbitrary-precision numbers travel as decimal strings so no consumer can
 lose precision; hyperreals travel as ``[exponent, numerator, denominator]``
-triples in descending exponent order.
+triples in descending exponent order, and the zero hyperreal is exactly
+``[]``.
 
 Format v1 fixes the shape of every field, so ``Ledger.to_json`` writes the
 document by that layout, field by field, and is the one writer of ledger
-text; ``Ledger.from_dict`` is the one reader.  ``Ledger.to_dict()`` is the
-parsed document, and ``json.dumps(ledger.to_dict(), indent=2)`` equals
-``ledger.to_json()`` byte for byte.
+text; ``Ledger.from_dict`` is the one reader.  This module alone knows the
+triple form: ``_hyperreal_json`` writes every hyperreal field
+(``lambda.value`` and each ``ultrasubparticle`` and ``intermediate``
+entry) from its terms, and ``_hyperreal`` reads each back over the
+config's checked base, refusing any JSON value but a list.
+``Ledger.to_dict()`` is the parsed document, and
+``json.dumps(ledger.to_dict(), indent=2)`` equals ``ledger.to_json()``
+byte for byte.
 ``Config.from_dict`` keeps the 64 configs it built last, by their five
 settings of exact type (``int``, ``str``), so ledgers share their config.
 """
@@ -26,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 
 from .codec import DEFAULT_ALPHABET, Alphabet
 from .engine import RealizedVector, Ultrasubparticle, _check_coord
-from .hyperreal import Hypernatural, Hyperreal
+from .hyperreal import Hypernatural, Hyperreal, _trusted
 from .radix import brief, parse_decimal, parse_rational, rational_to_decimal, to_decimal
 
 LEDGER_VERSION = "1"
@@ -178,9 +184,9 @@ class Ledger:
         sign_text = data["bundle_sign"]
         if sign_text != config.quality_signs[config.bundle_coordinate - 3]:
             raise LedgerError(f"bundle_sign {brief(sign_text)} disagrees with the config quality_signs")
-        triples = partial(Hyperreal.from_triples, config.base)
-        ultra = _parse_coords(data["ultrasubparticle"], config, "ultrasubparticle", triples)
-        intermediate = _parse_coords(data["intermediate"], config, "intermediate", triples)
+        hyperreal = partial(_hyperreal, base=config.base)
+        ultra = _parse_coords(data["ultrasubparticle"], config, "ultrasubparticle", hyperreal)
+        intermediate = _parse_coords(data["intermediate"], config, "intermediate", hyperreal)
         realized = _parse_coords(data["realized"], config, "realized", parse_rational)
         try:
             realized = RealizedVector(realized).coords
@@ -198,9 +204,43 @@ class Ledger:
 
 
 def _hyperreal_json(value: Hyperreal) -> str:
-    """A hyperreal's triples at depth 2, where format v1 puts every one."""
-    rows = [f'      [\n        {exp},\n        "{num}",\n        "{den}"\n      ]' for exp, num, den in value.to_triples()]
+    """A hyperreal's triples in descending exponent order, at depth 2, where format v1 puts every one."""
+    rows = [
+        f'      [\n        {exp},\n        "{to_decimal(c.numerator)}",\n        "{to_decimal(c.denominator)}"\n      ]'
+        for exp, c in sorted(value.terms.items(), reverse=True)
+    ]
     return "[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"
+
+
+def _hyperreal(value, base: int) -> Hyperreal:
+    """The hyperreal that a list of triples names, over a base the config already checked."""
+    if not isinstance(value, list):
+        raise ValueError(f"a hyperreal must be a list of triples, got {brief(value)}")
+    terms = {}
+    previous = None
+    for item in value:
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
+            raise ValueError(f"expected an [exponent, numerator, denominator] triple, got {brief(item)}")
+        exp, num, den = item
+        if not isinstance(exp, int) or isinstance(exp, bool):
+            raise ValueError(f"triple exponent must be an integer, got {brief(exp)}")
+        if previous is not None and exp >= previous:
+            raise ValueError("triples must be in strictly descending exponent order")
+        previous = exp
+        try:
+            numerator = parse_decimal(num, signed=True)
+        except ValueError:
+            raise ValueError(f"triple numerator must be a decimal string, got {brief(num)}") from None
+        try:
+            denominator = parse_decimal(den)
+        except ValueError:
+            denominator = 0
+        if not denominator:
+            raise ValueError(f"triple denominator must be a positive decimal string, got {brief(den)}")
+        if not numerator:
+            raise ValueError("zero coefficient in serialized value")
+        terms[exp] = Fraction(numerator, denominator)
+    return _trusted(base, terms)
 
 
 def _list_json(items) -> str:
@@ -219,7 +259,7 @@ def _parse_count(value, base: int) -> Hypernatural:
     if not isinstance(value, dict) or set(value) != {"value", "infinite", "degenerate"}:
         raise LedgerError("lambda must be an object with value, infinite, and degenerate fields")
     try:
-        count = Hypernatural(Hyperreal.from_triples(base, value["value"]))
+        count = Hypernatural(_hyperreal(value["value"], base))
     except (TypeError, ValueError) as exc:
         raise LedgerError(f"invalid lambda: {exc}") from exc
     if value["infinite"] is not count.is_infinite or value["degenerate"] is not count.is_degenerate:

@@ -1,5 +1,7 @@
 """Command line behavior: outputs and the documented exit-code map."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -8,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import subparticle
 from subparticle import cli
@@ -399,3 +403,79 @@ def test_exit_code_holds_when_stdout_and_stderr_are_a_closed_pipe(argv, expected
     finally:
         os.close(write_end)
     assert done.returncode == expected
+
+
+# Fuzzed command lines: well-formed for argparse, with fuzzed values, file
+# names relative to one directory.  Every one gives a documented exit code
+# and, on failure, one stderr line or the 3-line caret block, never a
+# traceback.  One parser serves every call, so this also checks its reuse.
+SOUP = st.lists(st.sampled_from(["0", "1", "2", "H", "eps", "st", "(", ")", "+", "-", "*", "/", "^"]), max_size=16)
+FACTORS = st.tuples(
+    st.sampled_from(["0", "1", "2", "1/2", "H", "eps", "-eps", "(H + 1)", "(1 - eps)"]),
+    st.sampled_from(["", " ^ 0", " ^ 1", " ^ 2", " ^ -1"]),
+).map("".join)
+SUMS = st.lists(st.lists(FACTORS, min_size=1, max_size=3).map(" * ".join), min_size=1, max_size=3).map(" + ".join)
+EXPRESSIONS = SOUP.map(" ".join) | SUMS | SUMS.map("st({})".format)  # every exponent literal is 0-2 or -1
+SMALL = st.integers(min_value=-1, max_value=12)
+SOMETIMES = st.sampled_from([False, False, True])
+WORDS = st.text(alphabet="abz xyA-é", max_size=12)
+LEDGER_FILES = ["genuine.json", "tampered.json", "bad.json", "no.json"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line, and the corpus file's lines."""
+    command = draw(st.sampled_from(["encode", "realize", "eval", "roundtrip"]))
+    corpus = draw(st.lists(WORDS, max_size=4))
+    if command == "realize":
+        return [command, "--ledger=" + draw(st.sampled_from(LEDGER_FILES))], corpus
+    if command == "eval":
+        return [command, f"--base={draw(SMALL)}", "--", draw(EXPRESSIONS)], corpus
+    if command == "encode":
+        argv = [command, "--word=" + draw(WORDS)]
+    else:
+        argv = [command, "--corpus=" + draw(st.sampled_from(["corpus.txt", "no.txt"]))]
+    for flag in ("--base", "--dims", "--coord"):
+        if draw(SOMETIMES):
+            argv.append(f"{flag}={draw(SMALL)}")
+    if draw(SOMETIMES):
+        argv.append("--alphabet=" + draw(st.text(alphabet="abz -é", max_size=5)))
+    config = draw(st.sampled_from([None, None, "config.json", "bad.json", "no.json"]))
+    if config:
+        argv.append("--config=" + config)
+    if command == "encode" and draw(st.booleans()):
+        argv.append("--out=out.json")
+    return argv, corpus
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        assert main(["encode", "--word", "ab", "--out", "genuine.json"]) == 0
+        data = json.loads((root / "genuine.json").read_text(encoding="utf-8"))
+        data["intermediate"][2][0][1] = "30"
+        (root / "tampered.json").write_text(json.dumps(data), encoding="utf-8")
+        (root / "bad.json").write_text("{nope", encoding="utf-8")
+        (root / "config.json").write_text('{"base": 2, "dims": 5}', encoding="utf-8")
+        yield root
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_fuzzed_command_lines_give_documented_exits(fuzz_dir, case):
+    argv, corpus = case
+    (fuzz_dir / "corpus.txt").write_text("\n".join(corpus), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    event(f"{argv[0]} exit {code}")
+    assert code in range(8)
+    assert "Traceback" not in err and len(err.encode()) < 1024
+    lines = err.splitlines()
+    if code in (0, 1):
+        assert err == ""
+    else:
+        assert len(lines) == 1 or (len(lines) == 3 and lines[0].startswith("error at column "))

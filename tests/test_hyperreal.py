@@ -1,5 +1,7 @@
-"""Unit and property tests for the exact hyperreal fragment."""
+"""Unit and property tests for the exact hyperreal fragment and its wire form."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +19,9 @@ from subparticle.hyperreal import (
     hyperfinite_constant_sum,
     lambda_for_code,
 )
+from subparticle.cli import main
+from subparticle.ledger import Ledger, LedgerError
+from subparticle.pipeline import run_pipeline
 
 from oracles import convolve_terms, random_hyperreal, repeated_addition
 
@@ -276,40 +281,75 @@ class TestHypernatural:
             Hypernatural.from_int(-1, 10)
 
 
+# -- the wire form: triples, which ledger format v1 alone writes and reads -----
+#
+# ``ledger.py`` is the one writer and reader of a value's triples, so these
+# tests put the value in a ledger's first ultrasubparticle entry.
+
+AB_LEDGER = run_pipeline("ab")
+
+# Each row of triples, and the inner message of the LedgerError it gives.
+MALFORMED_TRIPLES = [
+    ([[0, "1", "0"]], "triple denominator must be a positive decimal string, got '0'"),  # zero denominator
+    ([[0, "0", "1"]], "zero coefficient in serialized value"),  # stored zero coefficient
+    ([[0, "1", "1"], [0, "2", "1"]], "triples must be in strictly descending exponent order"),  # duplicate exponent
+    ([[0, "1", "1"], [1, "2", "1"]], "triples must be in strictly descending exponent order"),  # ascending order
+    ([["0", "1", "1"]], "triple exponent must be an integer, got '0'"),  # non-integer exponent
+    ([[0, "1.5", "1"]], "triple numerator must be a decimal string, got '1.5'"),  # non-decimal numerator
+    ([[0, "1", "-1"]], "triple denominator must be a positive decimal string, got '-1'"),  # negative denominator
+    ([[0, 1, "1"]], "triple numerator must be a decimal string, got 1"),  # numerator not a string
+    ([[0, "1"]], "expected an [exponent, numerator, denominator] triple, got [0, '1']"),  # not a triple
+    ([[True, "1", "1"]], "triple exponent must be an integer, got True"),  # bool exponent
+]
+
+
+def through_ledger(x):
+    """The rows a ledger writes for ``x``, and the value it reads back from them."""
+    ledger = dataclasses.replace(AB_LEDGER, ultrasubparticle=(x,) + AB_LEDGER.ultrasubparticle[1:])
+    text = ledger.to_json()
+    return json.loads(text)["ultrasubparticle"][0], Ledger.from_json(text).ultrasubparticle[0]
+
+
+def document_with(triples):
+    """The ledger document of "ab" with ``triples`` as its first ultrasubparticle entry."""
+    data = AB_LEDGER.to_dict()
+    data["ultrasubparticle"][0] = triples
+    return data
+
+
+def read_triples(triples):
+    return Ledger.from_dict(document_with(triples)).ultrasubparticle[0]
+
+
 class TestSerialization:
     def test_triples_descend_and_roundtrip(self):
         x = hr({-2: F(-1, 3), 1: 7, 0: F(5, 2)})
-        triples = x.to_triples()
+        triples, back = through_ledger(x)
         assert triples == [[1, "7", "1"], [0, "5", "2"], [-2, "-1", "3"]]
-        assert Hyperreal.from_triples(10, triples) == x
+        assert back == x
 
     def test_zero_is_empty(self):
-        assert Hyperreal.zero(10).to_triples() == []
-        assert Hyperreal.from_triples(10, []).is_zero()
+        assert through_ledger(Hyperreal.zero(10)) == ([], Hyperreal.zero(10))
+        assert read_triples([]).is_zero()
 
     def test_roundtrip_random(self):
         rng = random.Random(3)
         for _ in range(100):
             x = random_hyperreal(rng)
-            assert Hyperreal.from_triples(10, x.to_triples()) == x
+            assert through_ledger(x)[1] == x
 
     @pytest.mark.parametrize(
-        "triples",
-        [
-            [[0, "1", "0"]],          # zero denominator
-            [[0, "0", "1"]],          # stored zero coefficient
-            [[0, "1", "1"], [0, "2", "1"]],  # duplicate exponent
-            [[0, "1", "1"], [1, "2", "1"]],  # ascending order
-            [["0", "1", "1"]],        # non-integer exponent
-            [[0, "1.5", "1"]],        # non-decimal numerator
-            [[0, "1", "-1"]],         # negative denominator
-            [[0, 1, "1"]],            # numerator not a string
-            [[0, "1"]],               # not a triple
-        ],
+        "triples, message", MALFORMED_TRIPLES, ids=[f"triples{i}" for i in range(len(MALFORMED_TRIPLES))]
     )
-    def test_malformed_triples_rejected(self, triples):
-        with pytest.raises(ValueError):
-            Hyperreal.from_triples(10, triples)
+    def test_malformed_triples_rejected(self, triples, message, tmp_path, capsys):
+        with pytest.raises(LedgerError) as info:
+            read_triples(triples)
+        assert str(info.value) == f"invalid ultrasubparticle coordinate 1: {message}"
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(document_with(triples)), encoding="utf-8")
+        assert main(["realize", "--ledger", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"malformed ledger: {info.value}\n")
 
 
 class TestDisplay:
@@ -380,7 +420,7 @@ def test_operation_results_are_in_normal_form(pair, factor, exp):
     x, y = pair
     results = [x + y, x - y, -x, x * y, x ** 3, x.scale(factor), x.scale(F(factor, 7))]
     results += [x + factor, factor - x, factor * x, x.monomial_div(F(3, 2), exp), x.monomial_div(-1, exp)]
-    results.append(Hyperreal.from_triples(x.base, x.to_triples()))
+    results.append(through_ledger(x)[1])
     for result in results:
         assert_normal_form(result)
     assert dict((x * y).terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
@@ -400,7 +440,7 @@ def test_cancelling_sums_and_products_drop_their_terms(pair):
 
 def test_scale_by_one_and_minus_one():
     x = hr({0: 2, -1: F(1, 3)})
-    assert x.scale(1) is x
+    assert x.scale(1) == x
     assert x.scale(-1) == -x
     assert x.scale(F(-2, 2)) == -x
 
@@ -417,8 +457,6 @@ def test_named_constructors_keep_their_checks():
         Hyperreal.monomial(10, 1, 1.0)
     with pytest.raises(TypeError):
         Hyperreal.monomial(10, 0.5, 1)
-    with pytest.raises(ValueError):
-        Hyperreal.from_triples(1, [[0, "1", "1"]])
     with pytest.raises(TypeError):
         hr({0: 1}).monomial_div(1, 0.5)
     assert Hyperreal.monomial(10, 0, 3).is_zero()
@@ -437,8 +475,8 @@ def test_public_constructor_keeps_its_checks():
 
 
 def test_error_messages_quote_huge_values_briefly():
-    with pytest.raises(ValueError) as info:
-        Hyperreal.from_triples(10, [[0, "1" * 20000 + "x", "1"]])
+    with pytest.raises(LedgerError) as info:
+        read_triples([[0, "1" * 20000 + "x", "1"]])
     assert len(str(info.value)) < 200
     assert "20001 characters" in str(info.value)
 

@@ -208,6 +208,31 @@ class TestLedgerValidation:
         self.rejects(data, "invalid config")
 
 
+# A zero hyperreal is written as [] and nothing else reads as one.  Each place
+# holds a zero: where it sits, the word whose ledger it is, and the field the
+# message names.
+ZERO_PLACES = [
+    (("ultrasubparticle", 0), "ab", "invalid ultrasubparticle coordinate 1"),
+    (("intermediate", 0), "ab", "invalid intermediate coordinate 1"),
+    (("lambda", "value"), "", "invalid lambda"),
+]
+
+
+@pytest.mark.parametrize("place, word, field", ZERO_PLACES, ids=[p[0][0] for p in ZERO_PLACES])
+@pytest.mark.parametrize("value", ["", {}, 0, None, "[]"], ids=repr)
+def test_zero_hyperreal_is_only_the_empty_list(place, word, field, value, tmp_path, capsys):
+    data = run_pipeline(word).to_dict()
+    outer, inner = place
+    assert data[outer][inner] == []
+    data[outer][inner] = value
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["realize", "--ledger", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"malformed ledger: {field}: a hyperreal must be a list of triples, got {value!r}\n"
+
+
 class TestRecompute:
     def test_recompute_agrees_on_emitted_ledgers(self):
         for word in ("", "a", "zebra crossing", "qq"):
