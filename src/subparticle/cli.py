@@ -5,7 +5,9 @@ once every stored field is recomputed), ``eval`` (expression inspector),
 ``roundtrip`` (bulk corpus check).  Exit codes, fixed for scripting:
 0 ok, 1 corpus failure, 2 input error, 3 config error, 4 malformed ledger,
 5 integrity failure, 6 infinite value, 7 internal error (any other
-exception, reported on one line with no traceback).
+exception, reported on one line with no traceback).  Commands return only
+0 or 1 and raise every failure; ``main`` holds the one mapping from a
+failure to its exit code and stderr message.
 """
 
 from __future__ import annotations
@@ -44,6 +46,21 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+class _Refusal(Exception):
+    """``_Refusal(code, message)``: a failure the command line finds itself."""
+
+
+def _file(path: str, code: int, failure: str, text: str | None = None) -> str | None:
+    """Read the file a user named, or write ``text`` to it.  If that fails,
+    raise the refusal ``<failure>: <error>`` with exit ``code``."""
+    try:
+        if text is None:
+            return Path(path).read_text(encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Refusal(code, f"{failure}: {exc}") from exc
+
+
 # Most characters of the source an error message shows around its caret.
 CARET_WINDOW = 80
 
@@ -56,60 +73,36 @@ def _column_error(source: str, message: str, offset: int) -> str:
 
 
 def _config_from_args(args) -> Config:
+    """``--config`` with the flags over it; any fault in either is a config error."""
     data = {}
-    if args.config:
-        try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ValueError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, or a number past the int-str limit
-            raise ValueError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
-        data.update(loaded)
-    overrides = {
-        "base": args.base,
-        "dims": args.dims,
-        "alphabet": args.alphabet,
-        "bundle_coordinate": args.coord,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
-    return Config.from_dict(data)
+    try:
+        if args.config:
+            text = _file(args.config, EXIT_CONFIG_ERROR, "config error: cannot read config file")
+            try:
+                data = json.loads(text)
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError, a number past the int-str limit, deep nesting
+                raise ValueError(f"config file is not valid JSON: {exc}") from exc
+            if not isinstance(data, dict):
+                raise ValueError("config file must hold a JSON object")
+        overrides = {"base": args.base, "dims": args.dims, "alphabet": args.alphabet, "bundle_coordinate": args.coord}
+        data.update((key, value) for key, value in overrides.items() if value is not None)
+        return Config.from_dict(data)
+    except ValueError as exc:
+        raise _Refusal(EXIT_CONFIG_ERROR, f"config error: {exc}") from exc
 
 
 def _cmd_encode(args) -> int:
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG_ERROR, f"config error: {exc}")
-    try:
-        ledger = run_pipeline(args.word, config)
-    except SymbolNotInAlphabetError as exc:
-        return _fail(EXIT_INPUT_ERROR, str(exc))
-    text = ledger.to_json()
+    text = run_pipeline(args.word, _config_from_args(args)).to_json()
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _file(args.out, EXIT_INPUT_ERROR, "cannot write ledger", text + "\n")
     else:
         print(text)
     return EXIT_OK
 
 
 def _cmd_realize(args) -> int:
-    try:
-        text = Path(args.ledger).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return _fail(EXIT_MALFORMED_LEDGER, f"cannot read ledger: {exc}")
-    try:
-        ledger = Ledger.from_json(text)
-    except LedgerError as exc:
-        return _fail(EXIT_MALFORMED_LEDGER, f"malformed ledger: {exc}")
-    try:
-        word = verify_ledger(ledger)
-    except IntegrityError as exc:
-        return _fail(EXIT_INTEGRITY_FAILURE, f"integrity failure: {exc}")
-    print(word)
+    text = _file(args.ledger, EXIT_MALFORMED_LEDGER, "cannot read ledger")
+    print(verify_ledger(Ledger.from_json(text)))
     return EXIT_OK
 
 
@@ -117,13 +110,11 @@ def _cmd_eval(args) -> int:
     try:
         _check_base(args.base)
     except ValueError as exc:
-        return _fail(EXIT_CONFIG_ERROR, f"config error: {exc}")
+        raise _Refusal(EXIT_CONFIG_ERROR, f"config error: {exc}") from exc
     try:
         value = eval_ast(parse(args.expr), args.base)
     except (ParseError, EvalError) as exc:
-        return _fail(EXIT_INPUT_ERROR, _column_error(args.expr, exc.message, exc.offset))
-    except InfiniteValueError:
-        return _fail(EXIT_INFINITE_VALUE, "standard part undefined: infinite value")
+        raise _Refusal(EXIT_INPUT_ERROR, _column_error(args.expr, exc.message, exc.offset)) from exc
     if isinstance(value, Fraction):
         print(rational_to_decimal(value))
     elif value.classify() is Classification.INFINITE:
@@ -134,14 +125,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG_ERROR, f"config error: {exc}")
-    try:
-        words = Path(args.corpus).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        return _fail(EXIT_INPUT_ERROR, f"cannot read corpus: {exc}")
+    config = _config_from_args(args)
+    words = _file(args.corpus, EXIT_INPUT_ERROR, "cannot read corpus").splitlines()
     failures = []
     for word in words:
         try:
@@ -195,6 +180,16 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return globals()[f"_cmd_{args.command}"](args)  # looked up per call, so a rebound command is the one run
+    except _Refusal as exc:
+        return _fail(*exc.args)
+    except SymbolNotInAlphabetError as exc:
+        return _fail(EXIT_INPUT_ERROR, str(exc))
+    except LedgerError as exc:
+        return _fail(EXIT_MALFORMED_LEDGER, f"malformed ledger: {exc}")
+    except IntegrityError as exc:
+        return _fail(EXIT_INTEGRITY_FAILURE, f"integrity failure: {exc}")
+    except InfiniteValueError as exc:
+        return _fail(EXIT_INFINITE_VALUE, str(exc))
     except Exception as exc:  # the last resort: one documented line, no traceback
         return _fail(EXIT_INTERNAL_ERROR, f"internal error: {type(exc).__name__}: {brief(str(exc))}")
 

@@ -130,8 +130,9 @@ def _spell(n: int, width: int, symbols: str) -> str:
     return "".join(out)
 
 
-# ``recompute_decoded`` asks for a code's length and then decodes it, and
-# for a long word the power below is the costly part of both.
+# ``pipeline._decoded``, which ``recompute_decoded`` and ``verify_ledger``
+# (behind ``spc realize``) both run, asks for a code's length and then
+# decodes it, and for a long word the power below is the costly part of both.
 @lru_cache(maxsize=4)
 def _length(code: int, size: int, scaled_log: int) -> tuple[int, int]:
     """``(L, size**L)`` for the length L of the word with this code.

@@ -197,10 +197,6 @@ class RealizedVector:
         if coords[0] != 0 or coords[1] != 0:
             raise ValueError("naming and count entries of a realized vector must be zero")
 
-    @property
-    def dims(self) -> int:
-        return len(self.coords)
-
 
 @dataclass(frozen=True)
 class QualitySpec:

@@ -394,10 +394,6 @@ class Hypernatural:
         return self._value
 
     @property
-    def base(self) -> int:
-        return self._value.base
-
-    @property
     def is_infinite(self) -> bool:
         return any(exp >= 1 for exp in self._value.terms)
 

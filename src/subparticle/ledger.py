@@ -198,7 +198,7 @@ class Ledger:
     def from_json(cls, text: str) -> "Ledger":
         try:
             data = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or a number past the int-str limit
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, a number past the int-str limit, deep nesting
             raise LedgerError(f"not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 

@@ -1,5 +1,6 @@
 """Command line behavior: outputs and the documented exit-code map."""
 
+import ast
 import contextlib
 import io
 import json
@@ -102,6 +103,38 @@ class TestEncode:
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "encode", "--word", "a", "--config", "/nonexistent.json")
         assert code == 3
+
+    def test_config_file_that_is_not_utf8_cannot_be_read(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"base": "\xff"}')
+        code, out, err = run(capsys, "encode", "--word", "a", "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err.startswith("config error: cannot read config file: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "null"])
+    def test_config_file_must_hold_an_object(self, capsys, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "encode", "--word", "a", "--config", str(config))
+        assert (code, out, err) == (3, "", "config error: config file must hold a JSON object\n")
+
+    @pytest.mark.parametrize("shape", ["[", '{"a":'])
+    def test_deeply_nested_config_file_is_not_json(self, capsys, tmp_path, shape):
+        config = tmp_path / "config.json"
+        config.write_text(shape * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "encode", "--word", "a", "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err.startswith("config error: config file is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["missing/run.json", "."])
+    def test_out_file_that_cannot_be_written_is_an_input_error(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "encode", "--word", "ab", "--out", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot write ledger: ") and repr(path) in err  # the path in full
+        assert err.count("\n") == 1
 
     def test_bundling_on_negative_sign_coordinate_still_decodes(self, capsys):
         code, out, _ = run(capsys, "encode", "--word", "ab", "--coord", "4")
@@ -210,6 +243,15 @@ class TestRealize:
         code, out, err = run(capsys, "realize", "--ledger", str(target))
         assert (code, out) == (4, "")
         assert err.startswith("malformed ledger: not valid JSON")
+
+    @pytest.mark.parametrize("shape", ["[", '{"a":'])
+    def test_deeply_nested_ledger_file_is_malformed(self, capsys, tmp_path, shape):
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(shape * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "realize", "--ledger", str(ledger))
+        assert (code, out) == (4, "")
+        assert err.startswith("malformed ledger: not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_undecodable_ledger_file(self, capsys, tmp_path):
         target = tmp_path / "ledger.json"
@@ -381,6 +423,20 @@ class TestLastResort:
         self.raise_from_eval(monkeypatch, exc)
         with pytest.raises(type(exc)):
             main(["eval", "1"])
+
+
+def test_main_is_the_one_place_a_failure_becomes_an_exit_code():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    callers = {f.name for f in functions for node in ast.walk(f)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fail"}
+    assert callers == {"main"}
+    for f in functions:
+        if f.name.startswith("_cmd_"):
+            returned = {node.value for node in ast.walk(f) if isinstance(node, ast.Return)}
+            assert {ast.unparse(value) for value in returned} <= {
+                "EXIT_OK", "EXIT_OK if not failures else EXIT_CORPUS_FAILURE"}, f.name
+    assert ast.unparse(tree).count("except (OSError, UnicodeDecodeError)") == 1
 
 
 @pytest.mark.parametrize(

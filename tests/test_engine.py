@@ -162,6 +162,12 @@ class TestApplyTranslationTimes:
         with pytest.raises(BaseMismatchError):
             apply_translation_times(step, U4.coords(), Hyperreal.one(2))
 
+    @pytest.mark.parametrize("times", [0, 1, 5])
+    def test_hypernatural_times_equals_the_same_int(self, times):
+        step = make_translation(U4, 3)
+        got = apply_translation_times(step, U4.coords(), Hypernatural.from_int(times, 10))
+        assert got == apply_translation_times(step, U4.coords(), times)
+
 
 class TestMakeLambdaTranslation:
     def test_finite_count_shape(self):

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from subparticle.expr import (
     MAX_EXPONENT,
@@ -154,3 +156,37 @@ def test_exponent_at_the_limit_parses():
     assert parse(f"eps^-{MAX_EXPONENT}").value == -MAX_EXPONENT
     assert parse("2^" + "0" * 5000 + "7").value == 7  # leading zeros do not count
     assert eval_ast(parse(f"eps^-{MAX_EXPONENT}"), 10) == Hyperreal.monomial(10, 1, MAX_EXPONENT)
+
+
+# Token soups: every token the grammar knows, some it refuses, and exponent
+# literals of 2 or below, so that no tree that parses takes long to evaluate.
+# Half are loose soups, half are nested in the grammar's shape, so that many
+# parse.
+ATOMS = ["0", "1", "2", "3/4", "1/0", "H", "eps", "st", "x", "$", "1.5"]
+SOUPS = st.lists(st.sampled_from(ATOMS + ["(", ")", "+", "-", "*", "/", "^", "^-1", "^2"]), max_size=20).map(" ".join)
+POWERS = st.tuples(st.sampled_from(ATOMS), st.sampled_from(["", "", "^-1", "^2", "^ 0"])).map(" ".join)
+NESTED = st.recursive(POWERS, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^"]), inner).map(" ".join),
+    inner.map("( {} )".format),
+    inner.map("st ( {} )".format),
+    inner.map("- {}".format),
+), max_leaves=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(SOUPS | NESTED, st.sampled_from([2, 10]))
+def test_token_soups_give_a_value_or_a_documented_error(text, base):
+    try:
+        tree = parse(text)
+    except ParseError as exc:
+        event("ParseError")
+        assert 0 <= exc.offset <= len(text)
+        return
+    assert parse(pretty(tree)) == tree
+    try:
+        value = eval_ast(tree, base)
+    except (EvalError, InfiniteValueError) as exc:
+        event(type(exc).__name__)
+        return
+    event("value")
+    assert isinstance(value, (Fraction, Hyperreal))

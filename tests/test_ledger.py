@@ -142,6 +142,12 @@ class TestLedgerValidation:
         with pytest.raises(LedgerError):
             Ledger.from_json("[1, 2]")
 
+    @pytest.mark.parametrize("shape", ["[", '{"a":'])
+    def test_nesting_past_the_stack_is_not_json(self, shape):
+        with pytest.raises(LedgerError) as info:
+            Ledger.from_json(shape * 100_000)
+        assert str(info.value).startswith("not valid JSON: ")
+
     def test_missing_field(self):
         data = self.base_dict()
         del data["realized"]

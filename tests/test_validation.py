@@ -11,12 +11,20 @@ import subparticle
 from subparticle import engine
 from subparticle.cli import main
 from subparticle.codec import Alphabet, decode, word_length
-from subparticle.engine import MAX_DIMS, QualitySpec, Ultrasubparticle
+from subparticle.engine import (
+    MAX_DIMS,
+    QualitySpec,
+    RealizedVector,
+    Ultrasubparticle,
+    apply_translation_times,
+    make_translation,
+)
 from subparticle.hyperreal import Hypernatural, Hyperreal, lambda_for_code
 from subparticle.ledger import Config, Ledger
 from subparticle.pipeline import run_pipeline
 
 HUGE = -(10**5000)
+PARTICLE = Ultrasubparticle(10, 4)
 
 # (config field, invalid value, the library call that owns the check, or
 # None where Config itself owns it, and the exception that call raises).
@@ -60,6 +68,16 @@ LIBRARY_ONLY = [
     (lambda: Hypernatural.from_int(-1, 10), "n must be a nonnegative integer, got -1"),
     (lambda: decode(-1), "code must be a nonnegative integer, got -1"),
     (lambda: word_length(-1), "code must be a nonnegative integer, got -1"),
+    (lambda: RealizedVector((0, 0)), "a realized vector needs at least 3 coordinates"),
+]
+
+# The same, for values of a type the library refuses with a TypeError.
+LIBRARY_ONLY_TYPES = [
+    (lambda: QualitySpec(entries=((3, 2),)), "counts must be Hypernatural, got int"),
+    (lambda: apply_translation_times(make_translation(PARTICLE, 3), PARTICLE.coords(), 1.0),
+     "times must be an int, Hypernatural, or Hyperreal, got float"),
+    (lambda: apply_translation_times(make_translation(PARTICLE, 3), PARTICLE.coords(), Fraction(1)),
+     "times must be an int, Hypernatural, or Hyperreal, got Fraction"),
 ]
 
 # Each text below is the message of one concept's check and is written once.
@@ -119,6 +137,11 @@ def test_realize_on_a_ledger_with_the_value_is_malformed(capsys, tmp_path, field
 @pytest.mark.parametrize("call, message", LIBRARY_ONLY)
 def test_library_only_values_are_refused_briefly(call, message):
     assert short_refusal(call).startswith(message)
+
+
+@pytest.mark.parametrize("call, message", LIBRARY_ONLY_TYPES)
+def test_library_only_types_are_refused_briefly(call, message):
+    assert short_refusal(call, TypeError).startswith(message)
 
 
 def test_huge_negative_base_is_quoted_briefly():
