@@ -13,12 +13,16 @@ than with the square of the word length.  A word of length L has a code in
 ``[R_L, R_{L+1})`` with ``R_L = (A**L - 1) / (A - 1)``, and ``code - R_L``
 is a plain L-digit base-A number, so decoding first finds L and then splits
 that number into digits.
+
+For 2 <= A <= 36 the leaves convert in C: a word translates to the digits
+``0-9a-z`` that ``int`` reads, and a code spells three symbols at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 
 from . import radix
 
@@ -41,6 +45,8 @@ class Alphabet:
     symbols: str = DEFAULT_ALPHABET
     _values: dict = field(init=False, repr=False, compare=False)  # symbol -> digit value 1..A
     _scaled_log: int = field(init=False, repr=False, compare=False)  # see _length
+    _members: dict = field(init=False, repr=False, compare=False)  # translate() deletes each symbol
+    _digits: dict | None = field(init=False, repr=False, compare=False)  # symbol -> digit d - 1, A <= 36
 
     def __post_init__(self):
         if not isinstance(self.symbols, str) or not self.symbols:
@@ -50,17 +56,21 @@ class Alphabet:
             raise ValueError("alphabet symbols must be distinct")
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_scaled_log", (len(values) ** _LOG_SCALE).bit_length())
+        object.__setattr__(self, "_members", str.maketrans("", "", self.symbols))
+        fast = 2 <= len(values) <= len(_DIGITS)
+        object.__setattr__(self, "_digits", str.maketrans(self.symbols, _DIGITS[:len(values)]) if fast else None)
 
     @property
     def size(self) -> int:
         return len(self.symbols)
 
 
-# Digits per leaf of the divide-and-conquer conversions.  Shorter words take
-# one plain loop, longer ones split into leaves of this many symbols.
+# Digits per leaf of the divide-and-conquer conversions.  Shorter words convert
+# in one piece, longer ones split into leaves of this many symbols.
 LEAF = 64
 # Scale of the fixed-point log2(A) that first bounds a word's length.
 _LOG_SCALE = 256
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"  # what int() reads in bases <= 36
 
 
 _DEFAULT = Alphabet()
@@ -70,15 +80,19 @@ def encode(word: str, alphabet: Alphabet | None = None) -> int:
     """Map a word to its natural-number code (injective, empty word -> 0)."""
     alpha = alphabet if alphabet is not None else _DEFAULT
     values = alpha._values
-    try:
-        digits = [values[symbol] for symbol in word]
-    except KeyError:
+    if word.translate(alpha._members):  # what is left is outside the alphabet
         position = next(i for i, symbol in enumerate(word) if symbol not in values)
-        raise SymbolNotInAlphabetError(word[position], position) from None
+        raise SymbolNotInAlphabetError(word[position], position)
     size = alpha.size
-    if len(digits) <= LEAF:
-        return _horner(digits, size)
-    return radix.join(radix.leaves(digits, LEAF, lambda leaf: _horner(leaf, size)), size**LEAF)
+    if alpha._digits is None:  # A = 1 or A > 36: one multiply-add per symbol
+        digits = [values[symbol] for symbol in word]
+        if len(digits) <= LEAF:
+            return _horner(digits, size)
+        return radix.join(radix.leaves(digits, LEAF, lambda leaf: _horner(leaf, size)), size**LEAF)
+    text = word.translate(alpha._digits)  # int() would also take "_", "+", "-", spaces and capitals
+    if len(text) <= LEAF:
+        return _read(text, size) if text else 0
+    return radix.join(radix.leaves(text, LEAF, partial(_read, size=size)), size**LEAF)
 
 
 def word_length(code: int, alphabet: Alphabet | None = None) -> int:
@@ -107,8 +121,18 @@ def decode(code: int, alphabet: Alphabet | None = None) -> str:
     if length <= LEAF:
         return _spell(rest, length, symbols)
     chunks = radix.split(rest, size**LEAF, radix.levels_for(length, LEAF))
-    text = "".join([_spell(chunk, LEAF, symbols) for chunk in chunks])
+    # For A <= 36, spell a leaf three symbols per division and cut the zeros
+    # that lead its top group.
+    digits = symbols if alpha._digits is None else _triples(symbols)
+    groups = -(-LEAF // len(digits[0]))
+    text = "".join([_spell(chunk, groups, digits)[-LEAF:] for chunk in chunks])
     return text[len(text) - length:]
+
+
+def _read(piece: str, size: int) -> int:
+    """Code of a translated nonempty piece of k symbols: its value as a
+    base-A numeral plus ``R_k``, whose numeral is k ones."""
+    return int(piece, size) + int("1" * len(piece), size)
 
 
 def _horner(digits, size: int) -> int:
@@ -118,16 +142,24 @@ def _horner(digits, size: int) -> int:
     return n
 
 
-def _spell(n: int, width: int, symbols: str) -> str:
-    """The ``width`` base-A digits of ``0 <= n < A**width``, digit d written
-    as ``symbols[d]``."""
-    size = len(symbols)
+def _spell(n: int, width: int, digits) -> str:
+    """The ``width`` base-B digits of ``0 <= n < B**width``, with ``B =
+    len(digits)`` and digit d written as ``digits[d]``: one symbol each, or
+    three for ``digits = _triples(symbols)``."""
+    size = len(digits)
     out = []
     for _ in range(width):
         n, digit = divmod(n, size)
-        out.append(symbols[digit])
+        out.append(digits[digit])
     out.reverse()
     return "".join(out)
+
+
+@lru_cache(maxsize=4)
+def _triples(symbols: str) -> tuple[str, ...]:
+    """All ``A**3`` three-symbol strings, in the order of their base-A value;
+    built on the first decode longer than a leaf."""
+    return tuple(map("".join, product(symbols, repeat=3)))
 
 
 # ``pipeline._decoded``, which ``recompute_decoded`` and ``verify_ledger``

@@ -32,11 +32,8 @@ DIVISION_CUTOFF = 4000
 def split(n: int, radix: int, levels: int) -> list[int]:
     """The ``2**levels`` digits of ``0 <= n < radix**(2**levels)`` in base
     ``radix``, most significant first, leading zeros included."""
-    pows = [radix]
-    for _ in range(levels - 1):
-        pows.append(pows[-1] * pows[-1])
     parts = [n]
-    for power in reversed(pows[:levels]):
+    for power in reversed(_ladder(radix, levels)):
         bits = power.bit_length()
         parts = [piece for part in parts for piece in divmod_2n_1n(part, power, bits)]
     return parts
@@ -47,14 +44,22 @@ def join(chunks: list[int], radix: int) -> int:
 
     Chunks may be any integers, not only digits below ``radix``.
     """
-    power = radix
-    while len(chunks) > 1:
+    for power in _ladder(radix, (len(chunks) - 1).bit_length()):
         if len(chunks) % 2:
             chunks = [0] + chunks
         chunks = [hi * power + lo for hi, lo in zip(chunks[::2], chunks[1::2])]
-        if len(chunks) > 1:
-            power *= power
     return chunks[0]
+
+
+# Each ladder shares its lower rungs with the one below it, so the cache holds
+# about twice the largest power of each radix in use.
+@lru_cache(maxsize=32)
+def _ladder(radix: int, levels: int) -> tuple[int, ...]:
+    """``(radix, radix**2, radix**4, ...)``, ``levels`` powers in all."""
+    if levels <= 1:
+        return (radix,)[:levels]
+    lower = _ladder(radix, levels - 1)
+    return lower + (lower[-1] * lower[-1],)
 
 
 def leaves(seq, leaf: int, convert) -> list[int]:
@@ -186,7 +191,10 @@ def brief(value) -> str:
     input never makes a huge message."""
     if isinstance(value, str) and len(value) > BRIEF_LIMIT:
         return f"{value[:BRIEF_LIMIT]!r}... ({len(value)} characters)"
-    text = to_decimal(value) if type(value) is int else repr(value)
+    try:
+        text = to_decimal(value) if type(value) is int else repr(value)
+    except RecursionError:  # a container nested too deep for repr
+        text = f"<{type(value).__name__} nested too deeply to quote>"
     return text if len(text) <= BRIEF_LIMIT else f"{text[:BRIEF_LIMIT]}... ({len(text)} characters)"
 
 

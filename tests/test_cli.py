@@ -253,6 +253,26 @@ class TestRealize:
         assert err.startswith("malformed ledger: not valid JSON: ")
         assert err.count("\n") == 1
 
+    def test_value_nested_too_deep_to_quote_is_still_refused(self, capsys, tmp_path):
+        # Just below the JSON parser's depth limit a value parses, but its
+        # repr for the refusal message overflows the stack; the limit moves
+        # with the caller's stack depth, so probe a wide band of depths.
+        data = json.loads(self.encode_to(capsys, tmp_path, "ab").read_text(encoding="utf-8"))
+        config, ledger = tmp_path / "config.json", tmp_path / "nested.json"
+        encode_exits, realize_exits = set(), set()
+        for depth in range(900, 1101):
+            nested = "[" * depth + "]" * depth
+            config.write_text('{"dims": %s}' % nested, encoding="utf-8")
+            code, out, err = run(capsys, "encode", "--word", "ab", "--config", str(config))
+            encode_exits.add(code)
+            assert (out, err.count("\n")) == ("", 1) and err.startswith("config error: ")
+            data["config"]["dims"] = "DIMS"
+            ledger.write_text(json.dumps(data).replace('"DIMS"', nested), encoding="utf-8")
+            code, out, err = run(capsys, "realize", "--ledger", str(ledger))
+            realize_exits.add(code)
+            assert (out, err.count("\n")) == ("", 1) and err.startswith("malformed ledger: ")
+        assert (encode_exits, realize_exits) == ({3}, {4})
+
     def test_undecodable_ledger_file(self, capsys, tmp_path):
         target = tmp_path / "ledger.json"
         target.write_bytes(b"\xff\xfe{")

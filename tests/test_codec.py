@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subparticle import codec
 from subparticle.codec import (
     DEFAULT_ALPHABET,
     LEAF,
@@ -181,3 +182,39 @@ def test_word_length_of_a_unary_code_needs_no_word():
     assert word_length(10**30, Alphabet("x")) == 10**30
     with pytest.raises(ValueError):
         word_length(-1)
+
+
+# Alphabets on both sides of the 36-symbol cap of the int() leaves, led by
+# characters that int() reads by themselves or that translate() could keep:
+# digits, "_", "+", "-", a space, capitals and a non-ASCII letter.
+TRICKY = "9_+- A5Z0Ωzbcdefghijklmnopqrstuvwxy18"
+TRICKY_SIZES = (2, 3, 10, 27, 36, 37)
+
+
+# Every remainder of the leaf size mod 3, the symbols per decoding division.
+@pytest.mark.parametrize("leaf", [LEAF - 1, LEAF, LEAF + 1])
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(TRICKY_SIZES),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=-4, max_value=4),
+    st.randoms(use_true_random=False),
+)
+def test_leaf_fast_paths_match_loop_reference(leaf, size, leaves, offset, rng):
+    alphabet = Alphabet(TRICKY[:size])
+    word = "".join(rng.choice(alphabet.symbols) for _ in range(max(leaves * leaf + offset, 0)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "LEAF", leaf)
+        code = encode(word, alphabet)
+        assert code == loop_encode(word, alphabet.symbols)
+        assert decode(code, alphabet) == loop_decode(code, alphabet.symbols) == word
+
+
+@pytest.mark.parametrize("bad", ["5", "A", "_", "+", " ", "-"])
+@pytest.mark.parametrize("position", [0, 7, LEAF, 3 * LEAF + 1])
+def test_symbol_that_int_would_read_is_not_in_the_alphabet(bad, position):
+    alphabet = Alphabet("abcdefghijklmnopqrstuvwxyz")
+    word = "q" * position + bad + "a" * (2 * LEAF) + bad
+    with pytest.raises(SymbolNotInAlphabetError) as info:
+        encode(word, alphabet)
+    assert (info.value.position, info.value.symbol) == (position, bad)

@@ -142,6 +142,28 @@ def test_split_and_join_are_inverse():
     assert join([1, 2, 3], 1000) == 1_002_003
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=10**40), st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
+def test_split_and_join_are_inverse_for_any_radix_and_levels(base, levels, rng):
+    n = rng.randrange(base ** 2**levels)
+    chunks = split(n, base, levels)
+    digits, rest = [], n  # the base-``base`` digits by repeated divmod
+    for _ in range(2**levels):
+        rest, digit = divmod(rest, base)
+        digits.append(digit)
+    assert chunks == digits[::-1]
+    assert join(chunks, base) == n
+    count = rng.randint(1, 2**levels)  # a count that is not a power of two
+    assert join(chunks[-count:], base) == n % base**count
+
+
+def test_power_ladder_is_a_bounded_cache_of_tuples():
+    assert radix._ladder(7, 5) == (7, 7**2, 7**4, 7**8, 7**16)
+    assert radix._ladder(7, 0) == ()
+    assert type(radix._ladder(10**512, 3)) is tuple
+    assert radix._ladder.cache_info().maxsize is not None
+
+
 def test_int_max_str_digits_untouched():
     get = getattr(sys, "get_int_max_str_digits", None)
     before = get() if get else None
