@@ -11,10 +11,10 @@ triples in descending exponent order, and the zero hyperreal is exactly
 Format v1 fixes the shape of every field, so ``Ledger.to_json`` writes the
 document by that layout, field by field, and is the one writer of ledger
 text; ``Ledger.from_dict`` is the one reader.  This module alone knows the
-triple form: ``_hyperreal_json`` writes every hyperreal field
-(``lambda.value`` and each ``ultrasubparticle`` and ``intermediate``
-entry) from its terms, and ``_hyperreal`` reads each back over the
-config's checked base, refusing any JSON value but a list.
+triple form: ``_hyperreal_json`` writes every hyperreal field from its
+terms, or from ``Config.rows`` for the particle's own objects, and
+``_hyperreal`` reads each back over the config's checked base, refusing
+any JSON value but a list, unless it is exactly its slot's cached row.
 ``Ledger.to_dict()`` is the parsed document, and
 ``json.dumps(ledger.to_dict(), indent=2)`` equals ``ledger.to_json()``
 byte for byte.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from json.encoder import encode_basestring_ascii
 
 from .codec import DEFAULT_ALPHABET, Alphabet
@@ -57,7 +57,9 @@ class Config:
 
     ``codec_alphabet`` and ``particle`` are the Alphabet and the
     Ultrasubparticle the settings describe, built once; their constructors
-    are the checks of the settings.  ``signs`` is the particle's layout."""
+    are the checks of the settings.  ``signs`` is the particle's layout.
+    ``rows`` are its coordinates as ledger text and as ``json.loads`` lists,
+    built on first use; slots share one of each per distinct value (<= 4)."""
 
     base: int = 10
     dims: int = 8
@@ -87,6 +89,12 @@ class Config:
     @property
     def bundle_sign(self) -> int:
         return self.signs[self.bundle_coordinate - 3]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[str, ...], tuple[list, ...]]:
+        distinct = {id(value): value for value in self.particle.coords()}  # one object per value
+        rows = {key: (text := _hyperreal_json(value), json.loads(text)) for key, value in distinct.items()}
+        return tuple(zip(*(rows[id(value)] for value in self.particle.coords())))
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _CONFIG_KEYS}
@@ -151,8 +159,8 @@ class Ledger:
             f'    "infinite": {infinite},\n'
             f'    "degenerate": {degenerate}\n  }},\n'
             f'  "bundle_sign": "{config.quality_signs[config.bundle_coordinate - 3]}",\n'
-            f'  "ultrasubparticle": {_list_json(map(_hyperreal_json, self.ultrasubparticle))},\n'
-            f'  "intermediate": {_list_json(map(_hyperreal_json, self.intermediate))},\n'
+            f'  "ultrasubparticle": {_coords_json(self.ultrasubparticle, config)},\n'
+            f'  "intermediate": {_coords_json(self.intermediate, config)},\n'
             f'  "realized": {realized},\n'
             f'  "decoded": {encode_basestring_ascii(self.decoded)}\n}}'
         )
@@ -185,8 +193,8 @@ class Ledger:
         if sign_text != config.quality_signs[config.bundle_coordinate - 3]:
             raise LedgerError(f"bundle_sign {brief(sign_text)} disagrees with the config quality_signs")
         hyperreal = partial(_hyperreal, base=config.base)
-        ultra = _parse_coords(data["ultrasubparticle"], config, "ultrasubparticle", hyperreal)
-        intermediate = _parse_coords(data["intermediate"], config, "intermediate", hyperreal)
+        ultra = _parse_coords(data["ultrasubparticle"], config, "ultrasubparticle", hyperreal, config.rows[1])
+        intermediate = _parse_coords(data["intermediate"], config, "intermediate", hyperreal, config.rows[1])
         realized = _parse_coords(data["realized"], config, "realized", parse_rational)
         try:
             realized = RealizedVector(realized).coords
@@ -210,6 +218,13 @@ def _hyperreal_json(value: Hyperreal) -> str:
         for exp, c in sorted(value.terms.items(), reverse=True)
     ]
     return "[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"
+
+
+def _coords_json(entries, config: Config) -> str:
+    """A coordinate list; each entry that is the particle's own object for its slot is its cached text."""
+    own, texts = config.particle.coords(), config.rows[0]
+    rows = [text if entry is mine else _hyperreal_json(entry) for entry, mine, text in zip(entries, own, texts)]
+    return _list_json(rows + list(map(_hyperreal_json, entries[config.dims:])))
 
 
 def _hyperreal(value, base: int) -> Hyperreal:
@@ -267,14 +282,16 @@ def _parse_count(value, base: int) -> Hypernatural:
     return count
 
 
-def _parse_coords(value, config: Config, field: str, parse) -> tuple:
-    """The ``config.dims`` entries of a coordinate list, each read by ``parse``."""
+def _parse_coords(value, config: Config, field: str, parse, rows=None) -> tuple:
+    """The ``config.dims`` entries of a coordinate list, each read by ``parse``, except that an entry equal to
+    its slot's row of ``rows`` with an ``int`` exponent (``-1.0 == -1``, ``False == 0``) is the particle's own."""
     if not isinstance(value, list) or len(value) != config.dims:
         raise LedgerError(f"{field} must be a list of {config.dims} coordinates")
-    coords = []
-    for index, item in enumerate(value, start=1):
+    coords, own = [], config.particle.coords()
+    for slot, item in enumerate(value):
         try:
-            coords.append(parse(item))
+            exact = rows and item == rows[slot] and (not item or type(item[0][0]) is int)  # rows hold one triple at most
+            coords.append(own[slot] if exact else parse(item))
         except (TypeError, ValueError) as exc:
-            raise LedgerError(f"invalid {field} coordinate {index}: {exc}") from exc
+            raise LedgerError(f"invalid {field} coordinate {slot + 1}: {exc}") from exc
     return tuple(coords)

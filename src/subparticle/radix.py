@@ -147,7 +147,7 @@ def is_decimal(text, signed: bool = False, canonical: bool = False) -> bool:
     if not isinstance(text, str):
         return False
     body = text[1:] if signed and text[:1] == "-" else text
-    if not (body and body.isascii() and body.isdigit()):
+    if not (body and body.isascii() and body.encode().isdigit()):  # isascii first: a lone surrogate cannot encode
         return False
     return not canonical or body == "0" or body[0] != "0"
 

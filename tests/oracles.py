@@ -137,3 +137,40 @@ def ledger_document(ledger):
         "realized": [str(Fraction(entry)) for entry in ledger.realized],
         "decoded": ledger.decoded,
     }
+
+
+def expected_document(word, config):
+    """Ledger format v1 of ``word`` as a dict, from the paper's formulas alone:
+    the loop code c, lambda = c*H, the primitive rows (0, 1, +-eps, ...),
+    the count c*H on slot 2 and c*H * (+-eps) = +-c on the bundled slot (both
+    zero, ``[]``, for the empty word), and that +-c alone in the realized
+    vector.  Only the config's five settings are read."""
+    code = loop_encode(word, config.alphabet)
+    signs = config.quality_signs
+    sign = {"+": 1, "-": -1}[signs[config.bundle_coordinate - 3]]
+    count = [[1, str(code), "1"]] if code else []
+    rows = [[], [[0, "1", "1"]]] + [[[-1, {"+": "1", "-": "-1"}[s], "1"]] for s in signs]
+    intermediate = list(rows)
+    intermediate[1] = count
+    intermediate[config.bundle_coordinate - 1] = [[0, str(sign * code), "1"]] if code else []
+    realized = ["0"] * config.dims
+    realized[config.bundle_coordinate - 1] = str(sign * code)
+    return {
+        "version": "1",
+        "config": {
+            "base": config.base,
+            "dims": config.dims,
+            "alphabet": config.alphabet,
+            "bundle_coordinate": config.bundle_coordinate,
+            "quality_signs": signs,
+        },
+        "word": word,
+        "code": str(code),
+        "sequence_head": str(code),
+        "lambda": {"value": count, "infinite": code > 0, "degenerate": code == 0},
+        "bundle_sign": signs[config.bundle_coordinate - 3],
+        "ultrasubparticle": rows,
+        "intermediate": intermediate,
+        "realized": realized,
+        "decoded": word,
+    }

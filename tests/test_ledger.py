@@ -14,9 +14,9 @@ import subparticle.engine as engine
 from subparticle.cli import main
 from subparticle.codec import DEFAULT_ALPHABET
 from subparticle.ledger import LEDGER_VERSION, Config, Ledger, LedgerError
-from subparticle.pipeline import IntegrityError, recompute_decoded, run_pipeline
+from subparticle.pipeline import IntegrityError, recompute_decoded, run_pipeline, verify_ledger
 
-from oracles import divmod_decimal, ledger_document, random_word, shortlex_words
+from oracles import divmod_decimal, expected_document, ledger_document, random_word, shortlex_words
 
 
 class TestConfig:
@@ -456,3 +456,92 @@ def test_run_pipeline_checks_the_bundled_vector_once(monkeypatch):
     monkeypatch.setattr(engine, "_hyperreal_vector", counting)
     assert run_pipeline("ab").decoded == "ab"
     assert checks.count("an intermediate subparticle") == 1
+
+
+@st.composite
+def words_and_configs(draw):
+    dims = draw(st.integers(min_value=3, max_value=64))
+    alphabet = "".join(draw(st.lists(st.sampled_from(_SYMBOLS), min_size=1, unique=True)))
+    config = Config(
+        base=draw(st.sampled_from([2, 10, 97])),
+        dims=dims,
+        alphabet=alphabet,
+        bundle_coordinate=draw(st.integers(min_value=3, max_value=dims)),
+        quality_signs=draw(st.just("") | st.text(alphabet="+-", min_size=dims - 2, max_size=dims - 2)),  # "": alternating
+    )
+    return draw(st.text(alphabet=alphabet, max_size=40)), config
+
+
+@settings(deadline=None)
+@given(words_and_configs())
+@example(("", Config(dims=4096, bundle_coordinate=4096)))
+@example(("zebra crossing", Config(base=97, dims=4096, bundle_coordinate=2048)))
+def test_document_is_the_one_the_papers_formulas_give(word_and_config):
+    word, config = word_and_config
+    assert json.loads(run_pipeline(word, config).to_json()) == expected_document(word, config)
+
+
+# The particle's rows are cached on the config.  An entry that is its slot's
+# row in value but not in type must still be refused with the reader's own
+# message, and any other entry must read as what it says.
+@pytest.mark.parametrize("field", ["ultrasubparticle", "intermediate"])
+@pytest.mark.parametrize(
+    "slot, entry, message",
+    [
+        (2, [[-1.0, "1", "1"]], "coordinate 3: triple exponent must be an integer, got -1.0"),
+        (3, [[-1.0, "-1", "1"]], "coordinate 4: triple exponent must be an integer, got -1.0"),
+        (1, [[False, "1", "1"]], "coordinate 2: triple exponent must be an integer, got False"),
+        (1, [[0.0, "1", "1"]], "coordinate 2: triple exponent must be an integer, got 0.0"),
+        (4, [[-1, "1", "1"], [-1, "1", "1"]], "coordinate 5: triples must be in strictly descending exponent order"),
+        (4, [[-1, "1", "1", "1"]], "coordinate 5: expected an [exponent, numerator, denominator] triple, got [-1, '1', '1', '1']"),
+    ],
+)
+def test_entry_equal_to_a_cached_row_but_not_exactly_is_refused(field, slot, entry, message):
+    data = run_pipeline("hello world").to_dict()
+    data[field][slot] = entry
+    with pytest.raises(LedgerError) as info:
+        Ledger.from_dict(data)
+    assert str(info.value) == f"invalid {field} {message}"
+
+
+def test_cached_rows_are_read_as_the_particles_own_objects():
+    ledger = run_pipeline("hello world")
+    loaded = Ledger.from_json(ledger.to_json())
+    own = loaded.config.particle.coords()
+    assert all(entry is mine for entry, mine in zip(loaded.ultrasubparticle, own))
+    assert [entry is mine for entry, mine in zip(loaded.intermediate, own)] == [True, False, False] + [True] * 5
+
+
+def test_eps_row_with_an_extra_triple_reads_as_what_it_says():
+    data = run_pipeline("hello world").to_dict()
+    data["ultrasubparticle"][5] = data["ultrasubparticle"][4] + [[-2, "1", "1"]]  # eps + eps^2: well formed
+    ledger = Ledger.from_dict(data)
+    assert ledger.ultrasubparticle[5] == ledger.config.particle.coords()[4] + ledger.config.particle.coords()[4] ** 2
+    with pytest.raises(IntegrityError, match="^stage 'ultrasubparticle': "):
+        verify_ledger(ledger)
+
+
+@pytest.mark.parametrize("field, slots", [("ultrasubparticle", (2, 3)), ("intermediate", (3, 4))])
+def test_swapped_eps_rows_read_but_fail_their_stage(field, slots):
+    data = run_pipeline("hello world").to_dict()
+    a, b = slots
+    data[field][a], data[field][b] = data[field][b], data[field][a]
+    ledger = Ledger.from_dict(data)
+    own = ledger.config.particle.coords()
+    entries = getattr(ledger, field)
+    assert entries[a] == own[b] and entries[b] == own[a] != own[b]
+    assert not any(entries[slot] is mine for slot in slots for mine in own)  # compared slot by slot, never searched
+    with pytest.raises(IntegrityError) as info:
+        verify_ledger(ledger)
+    assert str(info.value).startswith(f"stage {field!r}: ")
+
+
+def test_cached_rows_are_shared_and_built_only_for_ledgers():
+    config = Config(base=2, dims=4096, bundle_coordinate=4)
+    ledger = run_pipeline("ab", config)
+    assert "rows" not in vars(config)  # building the config and running the pipeline write no ledger
+    texts, lists = config.rows
+    assert len(texts) == len(lists) == 4096
+    assert len({id(text) for text in texts}) <= 4 and len({id(row) for row in lists}) <= 4
+    assert all(len(row) <= 1 for row in lists)  # the reader's exact-type check looks at one triple
+    assert list(lists) == [json.loads(text) for text in texts] == json.loads(ledger.to_json())["ultrasubparticle"]

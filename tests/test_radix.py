@@ -199,6 +199,13 @@ EDGE_STRINGS = [
     ("7.0", False, False, False),
     ("0x7", False, False, False),
     ("7/1", True, False, False),
+    ("١٢٣", False, False, False),  # ARABIC-INDIC DIGITS ONE TWO THREE
+    ("-١٢٣", True, False, False),
+    ("-²", True, False, False),
+    ("\ud800", False, False, False),  # a lone surrogate, which str.encode refuses
+    ("-\ud800", True, False, False),
+    ("1\ud800", False, False, False),
+    ("-1\ud800", True, False, False),
 ]
 
 
