@@ -11,9 +11,9 @@ the count slot and the count times that quality's signed eps on the
 quality, the closed form of count-fold iteration.  The affine translations
 below are the paper's construction of that form; ``bundle`` applies the
 one-shot translation on the two slots it moves, without building the map.
-Realization then takes the standard part of every quality coordinate,
-suppresses the first two slots, and leaves an exact rational vector whose
-bundled entry carries the code.
+Realization suppresses the first two slots and takes the standard part of
+each quality: the code on the bundled entry, and 0 on every other slot,
+the particle's own signed eps, so ``realize`` reads only the moved slots.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .hyperreal import (
     Hypernatural,
     Hyperreal,
     InfiniteValueError,
+    _ZERO,
     _as_fraction,
     _check_base,
 )
@@ -53,11 +54,11 @@ def _check_coord(coord, dims: int) -> None:
         raise IndexError(f"quality coordinate must be in 3..{dims}, got {brief(coord)}")
 
 
-def _hyperreal_vector(base: int, entries, what: str) -> tuple[Hyperreal, ...]:
-    """``entries`` as a tuple, checked to hold at least 3 Hyperreals of ``base``."""
+def _hyperreal_vector(base: int, entries, what: str, least: int = 3) -> tuple[Hyperreal, ...]:
+    """``entries`` as a tuple, checked to hold at least ``least`` Hyperreals of ``base``."""
     entries = tuple(entries)
-    if len(entries) < 3:
-        raise ValueError(f"{what} needs at least 3 coordinates")
+    if len(entries) < least:
+        raise ValueError(f"{what} needs at least {least} coordinates")
     for entry in entries:
         if not isinstance(entry, Hyperreal):
             raise TypeError(f"entries of {what} must be Hyperreal, got {type(entry).__name__}")
@@ -169,16 +170,16 @@ class RealizationMap:
     def __post_init__(self):
         _check_dims(self.dims)
 
-    def apply(self, coords) -> tuple[Fraction, ...]:
+    def apply(self, coords, slots=None) -> tuple[Fraction, ...]:
         coords = tuple(coords)
         if len(coords) != self.dims:
             raise ValueError(f"dimension mismatch: map has {self.dims}, vector has {len(coords)}")
-        realized = [Fraction(0), Fraction(0)]
-        for index, entry in enumerate(coords[2:], start=3):
+        realized = [_ZERO] * self.dims
+        for index in range(2, self.dims) if slots is None else slots:  # slots not given must be infinitesimal
             try:
-                realized.append(entry.st())
+                realized[index] = coords[index].st()
             except InfiniteValueError:
-                raise InfiniteCoordinateError(index) from None
+                raise InfiniteCoordinateError(index + 1) from None
         return tuple(realized)
 
 
@@ -289,9 +290,20 @@ def bundle(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> Inter
     return bundled
 
 
-def realize(subparticle: IntermediateSubparticle) -> RealizedVector:
-    """Standard-part realization of a bundled coordinate vector."""
-    return RealizedVector(RealizationMap(subparticle.dims).apply(subparticle.coords))
+def realize(subparticle, particle: Ultrasubparticle | None = None) -> RealizedVector:
+    """Standard-part realization of a bundled coordinate vector.  Given the ``particle`` it was bundled from,
+    ``subparticle`` is its bare coordinates; a slot that is the particle's own object realizes to one shared 0,
+    and only the others get the checks of ``IntermediateSubparticle`` and ``RealizationMap``, in their order."""
+    if particle is None:
+        return RealizedVector(RealizationMap(subparticle.dims).apply(subparticle.coords))
+    if len(coords := tuple(subparticle)) != particle.dims:
+        return realize(IntermediateSubparticle(particle.base, coords))
+    moved = [i for i, (entry, own) in enumerate(zip(coords, particle.coords())) if entry is not own]
+    _hyperreal_vector(particle.base, [coords[i] for i in moved], "an intermediate subparticle", least=0)
+    Hypernatural(coords[1])  # count slot must be natural-formed
+    vector = object.__new__(RealizedVector)  # zero naming and count slots by construction: not checked again
+    vars(vector).update(coords=RealizationMap(particle.dims).apply(coords, [i for i in moved if i > 1]))
+    return vector
 
 
 def quality_bundle(particle: Ultrasubparticle, spec: QualitySpec) -> RealizedVector:

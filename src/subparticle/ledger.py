@@ -15,11 +15,12 @@ triple form: ``_hyperreal_json`` writes every hyperreal field from its
 terms, or from ``Config.rows`` for the particle's own objects, and
 ``_hyperreal`` reads each back over the config's checked base, refusing
 any JSON value but a list, unless it is exactly its slot's cached row.
-``Ledger.to_dict()`` is the parsed document, and
-``json.dumps(ledger.to_dict(), indent=2)`` equals ``ledger.to_json()``
-byte for byte.
-``Config.from_dict`` keeps the 64 configs it built last, by their five
-settings of exact type (``int``, ``str``), so ledgers share their config.
+A realized entry that is the shared zero is written ``"0"``; a realized list
+of ``"0"``s but for the bundled entry reads as ``Config.zeros`` plus that
+entry.  ``json.dumps(ledger.to_dict(), indent=2)``, the parsed document
+dumped, equals ``ledger.to_json()`` byte for byte.  ``Config.from_dict``
+keeps its last 64 configs, by their five settings of exact type (``int``,
+``str``), so ledgers share their config.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 
 from .codec import DEFAULT_ALPHABET, Alphabet
 from .engine import RealizedVector, Ultrasubparticle, _check_coord
-from .hyperreal import Hypernatural, Hyperreal, _trusted
+from .hyperreal import _ZERO, Hypernatural, Hyperreal, _trusted
 from .radix import brief, parse_decimal, parse_rational, rational_to_decimal, to_decimal
 
 LEDGER_VERSION = "1"
@@ -59,7 +60,8 @@ class Config:
     Ultrasubparticle the settings describe, built once; their constructors
     are the checks of the settings.  ``signs`` is the particle's layout.
     ``rows`` are its coordinates as ledger text and as ``json.loads`` lists,
-    built on first use; slots share one of each per distinct value (<= 4)."""
+    built on first use; slots share one of each per distinct value (<= 4).
+    ``zeros``, built likewise, is the realized zero row and ``dims - 1`` ``"0"``s."""
 
     base: int = 10
     dims: int = 8
@@ -96,6 +98,10 @@ class Config:
         rows = {key: (text := _hyperreal_json(value), json.loads(text)) for key, value in distinct.items()}
         return tuple(zip(*(rows[id(value)] for value in self.particle.coords())))
 
+    @cached_property
+    def zeros(self) -> tuple[tuple[Fraction, ...], list[str]]:
+        return (_ZERO,) * self.dims, ["0"] * (self.dims - 1)
+
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _CONFIG_KEYS}
 
@@ -103,8 +109,7 @@ class Config:
     def from_dict(cls, data) -> "Config":
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        unknown = set(data) - set(_CONFIG_KEYS)
-        if unknown:
+        if unknown := set(data) - set(_CONFIG_KEYS):
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
         if cls is Config and [type(data.get(key)) for key in _CONFIG_KEYS] == [int, int, str, int, str]:
             return _config_memo(*[data[key] for key in _CONFIG_KEYS])  # exact types: True and 1.0 miss 1
@@ -144,7 +149,7 @@ class Ledger:
         """The document, written field by field in format v1's layout."""
         config, count, code = self.config, self.count, to_decimal(self.code)
         infinite, degenerate = ("true" if flag else "false" for flag in (count.is_infinite, count.is_degenerate))
-        realized = _list_json(['"' + rational_to_decimal(entry) + '"' for entry in self.realized])
+        realized = _list_json(['"0"' if entry is _ZERO else f'"{rational_to_decimal(entry)}"' for entry in self.realized])
         return (
             f'{{\n  "version": "{LEDGER_VERSION}",\n  "config": {{\n'
             f'    "base": {config.base},\n'
@@ -169,11 +174,9 @@ class Ledger:
     def from_dict(cls, data) -> "Ledger":
         if not isinstance(data, dict):
             raise LedgerError("ledger must be a JSON object")
-        missing = set(_LEDGER_KEYS) - set(data)
-        if missing:
+        if missing := set(_LEDGER_KEYS) - set(data):
             raise LedgerError(f"missing ledger field(s): {sorted(missing)}")
-        unknown = set(data) - set(_LEDGER_KEYS)
-        if unknown:
+        if unknown := set(data) - set(_LEDGER_KEYS):
             raise LedgerError(f"unknown ledger field(s): {sorted(unknown)}")
         if data["version"] != LEDGER_VERSION:
             raise LedgerError(f"unsupported ledger version {brief(data['version'])}")
@@ -181,8 +184,7 @@ class Ledger:
             config = Config.from_dict(data["config"])
         except (TypeError, ValueError) as exc:
             raise LedgerError(f"invalid config: {exc}") from exc
-        word = data["word"]
-        decoded = data["decoded"]
+        word, decoded = data["word"], data["decoded"]
         if not isinstance(word, str) or not isinstance(decoded, str):
             raise LedgerError("word and decoded must be strings")
         code = _parse_natural(data["code"], "code")
@@ -195,11 +197,7 @@ class Ledger:
         hyperreal = partial(_hyperreal, base=config.base)
         ultra = _parse_coords(data["ultrasubparticle"], config, "ultrasubparticle", hyperreal, config.rows[1])
         intermediate = _parse_coords(data["intermediate"], config, "intermediate", hyperreal, config.rows[1])
-        realized = _parse_coords(data["realized"], config, "realized", parse_rational)
-        try:
-            realized = RealizedVector(realized).coords
-        except ValueError as exc:
-            raise LedgerError(f"invalid realized vector: {exc}") from None
+        realized = _parse_realized(data["realized"], config)
         return cls(config, word, code, count, ultra, intermediate, realized, decoded)
 
     @classmethod
@@ -280,6 +278,21 @@ def _parse_count(value, base: int) -> Hypernatural:
     if value["infinite"] is not count.is_infinite or value["degenerate"] is not count.is_degenerate:
         raise LedgerError("lambda flags disagree with the serialized value")
     return count
+
+
+def _parse_realized(value, config: Config) -> tuple[Fraction, ...]:
+    """The realized vector; a list of ``"0"``s but for the bundled entry is the config's zero row plus that entry."""
+    (zeros, others), slot = config.zeros, config.bundle_coordinate  # slot >= 3: naming and count are "0"s
+    if isinstance(value, list) and len(value) == config.dims and value[:slot - 1] + value[slot:] == others:
+        try:
+            return zeros[:slot - 1] + (parse_rational(value[slot - 1]),) + zeros[slot:]
+        except (TypeError, ValueError) as exc:
+            raise LedgerError(f"invalid realized coordinate {slot}: {exc}") from exc
+    realized = _parse_coords(value, config, "realized", parse_rational)
+    try:
+        return RealizedVector(realized).coords
+    except ValueError as exc:
+        raise LedgerError(f"invalid realized vector: {exc}") from None
 
 
 def _parse_coords(value, config: Config, field: str, parse, rows=None) -> tuple:

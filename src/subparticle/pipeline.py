@@ -10,7 +10,7 @@ from __future__ import annotations
 from .codec import decode, encode, word_length
 # Ultrasubparticle is not called here (each Config holds its particle), but
 # the benchmark's tracer (bench/spans.py) wraps this module's name for it.
-from .engine import InfiniteCoordinateError, IntermediateSubparticle, Ultrasubparticle, bundle, realize
+from .engine import InfiniteCoordinateError, Ultrasubparticle, bundle, realize
 from .hyperreal import lambda_for_code
 from .ledger import Config, Ledger
 from .radix import brief, rational_to_decimal
@@ -25,7 +25,7 @@ _DEFAULT_CONFIG = Config()
 
 def _realized(config: Config, fields: dict):
     try:
-        return realize(IntermediateSubparticle(config.base, fields["intermediate"])).coords
+        return realize(fields["intermediate"], config.particle).coords
     except (ValueError, InfiniteCoordinateError) as exc:
         raise IntegrityError(f"stage 'realized': stored intermediate cannot be realized: {exc}") from exc
 

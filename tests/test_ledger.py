@@ -11,8 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subparticle.engine as engine
+import subparticle.pipeline as pipeline
 from subparticle.cli import main
 from subparticle.codec import DEFAULT_ALPHABET
+from subparticle.engine import IntermediateSubparticle
+from subparticle.hyperreal import Hyperreal
 from subparticle.ledger import LEDGER_VERSION, Config, Ledger, LedgerError
 from subparticle.pipeline import IntegrityError, recompute_decoded, run_pipeline, verify_ledger
 
@@ -446,16 +449,32 @@ def test_stored_intermediate_keeps_its_length_check():
 
 
 def test_run_pipeline_checks_the_bundled_vector_once(monkeypatch):
-    checks = []
+    # Realization reads only the slots bundling moved: one standard part, on
+    # the bundled slot, and a type check of the count and bundled entries,
+    # never of an entry that is the particle's own.
+    st_, check = Hyperreal.st, engine._hyperreal_vector
+    for config in (Config(), Config(base=2, dims=4096, bundle_coordinate=4096)):
+        standard_parts, checked = [], []
 
-    def counting(base, entries, what):
-        checks.append(what)
-        return check(base, entries, what)
+        def counting_st(self):
+            standard_parts.append(self)
+            return st_(self)
 
-    check = engine._hyperreal_vector
-    monkeypatch.setattr(engine, "_hyperreal_vector", counting)
-    assert run_pipeline("ab").decoded == "ab"
-    assert checks.count("an intermediate subparticle") == 1
+        def recording(base, entries, *args, **kwargs):
+            entries = tuple(entries)
+            checked.extend(entries)
+            return check(base, entries, *args, **kwargs)
+
+        monkeypatch.setattr(Hyperreal, "st", counting_st)
+        monkeypatch.setattr(engine, "_hyperreal_vector", recording)
+        ledger = run_pipeline("ab", config)
+        monkeypatch.undo()
+        bundled = ledger.intermediate[config.bundle_coordinate - 1]
+        assert ledger.decoded == "ab"
+        assert len(standard_parts) == 1 and standard_parts[0] is bundled
+        assert [id(entry) for entry in checked] == [id(ledger.intermediate[1]), id(bundled)]
+        own = {id(entry) for entry in config.particle.coords()}
+        assert not own & {id(entry) for entry in checked}
 
 
 @st.composite
@@ -545,3 +564,154 @@ def test_cached_rows_are_shared_and_built_only_for_ledgers():
     assert len({id(text) for text in texts}) <= 4 and len({id(row) for row in lists}) <= 4
     assert all(len(row) <= 1 for row in lists)  # the reader's exact-type check looks at one triple
     assert list(lists) == [json.loads(text) for text in texts] == json.loads(ledger.to_json())["ultrasubparticle"]
+
+
+# The realized stage reads only the slots that are not the particle's own
+# objects.  It must give what the full realization of the whole vector gives,
+# value for value, and fail as that does, type and message.
+def _full_realize(coords, particle):
+    return engine.realize(IntermediateSubparticle(particle.base, coords))
+
+
+@settings(deadline=None)
+@given(words_and_configs())
+@example(("", Config(dims=4096, bundle_coordinate=4096)))
+@example(("zebra crossing", Config(base=97, dims=4096, bundle_coordinate=2048)))
+def test_realized_stage_equals_the_full_realization(word_and_config):
+    word, config = word_and_config
+    ledger = run_pipeline(word, config)
+    full = _full_realize(ledger.intermediate, config.particle).coords
+    assert ledger.realized == full
+    loaded = Ledger.from_json(ledger.to_json())
+    assert loaded.realized == full
+    assert pipeline._realized(config, vars(loaded)) == full
+    assert recompute_decoded(loaded) == word
+
+
+def _stage_outcome(config, coords):
+    fields = {"intermediate": coords()}
+    try:
+        return pipeline._realized(config, fields)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _with(entries, **slots):
+    """``entries`` with ``s<i>=value`` put in slot i (0-based)."""
+    entries = list(entries)
+    for key, value in slots.items():
+        entries[int(key[1:])] = value
+    return entries
+
+
+HAND_BUILT = {
+    "as run": lambda own, inter, base: inter,
+    "fresh objects equal to the particle's": lambda own, inter, base: _with(
+        inter, s0=Hyperreal.zero(base), s4=Hyperreal.epsilon(base), s5=-Hyperreal.epsilon(base)
+    ),
+    "fresh one in the count slot": lambda own, inter, base: _with(inter, s1=Hyperreal.one(base)),
+    "not a hyperreal": lambda own, inter, base: _with(inter, s4=Fraction(0)),
+    "another base": lambda own, inter, base: _with(inter, s5=Hyperreal.epsilon(base + 1)),
+    "H on an unbundled quality": lambda own, inter, base: _with(inter, s6=Hyperreal.generator(base)),
+    "H on the naming slot": lambda own, inter, base: _with(inter, s0=Hyperreal.generator(base)),
+    "non-natural count": lambda own, inter, base: _with(inter, s1=Hyperreal.from_rational(base, Fraction(1, 2))),
+    "H and a non-natural count": lambda own, inter, base: _with(
+        inter, s6=Hyperreal.generator(base), s1=Hyperreal.from_rational(base, -1)
+    ),
+    "a non-natural count and a non-hyperreal": lambda own, inter, base: _with(
+        inter, s1=Hyperreal.from_rational(base, -1), s7=Fraction(1)
+    ),
+    "another base before a non-hyperreal": lambda own, inter, base: _with(
+        inter, s4=Hyperreal.epsilon(base + 1), s6="x"
+    ),
+    "H before a non-hyperreal": lambda own, inter, base: _with(inter, s4=Hyperreal.generator(base), s7=None),
+    "two infinite qualities": lambda own, inter, base: _with(inter, s5=Hyperreal.generator(base), s4=-Hyperreal.generator(base)),
+    "own entry of the wrong slot": lambda own, inter, base: _with(inter, s4=own[3], s3=own[4]),
+    "a list": lambda own, inter, base: list(inter),
+    "an iterator": lambda own, inter, base: iter(inter),
+    "one entry short": lambda own, inter, base: inter[:-1],
+    "one entry long": lambda own, inter, base: tuple(inter) + (own[-1],),
+    "two entries": lambda own, inter, base: inter[:2],
+    "not iterable": lambda own, inter, base: 7,
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+@pytest.mark.parametrize(
+    "config",
+    [Config(), Config(base=2, dims=9, bundle_coordinate=4), Config(base=97, dims=4096, bundle_coordinate=4096)],
+    ids=["default", "negative slot", "4096 dims"],
+)
+def test_hand_built_intermediate_realizes_as_the_full_check_does(case, config, monkeypatch):
+    ledger = run_pipeline("ab", config)
+    own = config.particle.coords()
+    coords = lambda: HAND_BUILT[case](own, ledger.intermediate, config.base)  # noqa: E731 (an iterator is used once)
+    got = _stage_outcome(config, coords)
+    monkeypatch.setattr(pipeline, "realize", _full_realize)
+    assert got == _stage_outcome(config, coords)
+    if case == "as run":
+        assert got == ledger.realized
+
+
+# ``spc realize`` on a ledger whose realized entry in one slot is replaced:
+# slot 1 (naming), slot 2 (count), slot 3 (bundled) and slot 5 (unbundled) of
+# the default config's ledger of "ab", code 29.  Realized entries are rational
+# strings with no canonical form, so "-0", "00" and "0/7" read as 0.
+_OK = (0, "ab\n", "")
+_LAYOUT = (4, "", "malformed ledger: invalid realized vector: naming and count entries of a realized vector must be zero\n")
+_STAGE = (5, "", "integrity failure: stage 'realized': the stored realized is not the one its stage computes from the fields before it\n")
+
+
+def _unreadable(slot, why):
+    return 4, "", f"malformed ledger: invalid realized coordinate {slot}: {why}\n"
+
+
+REALIZED_ENTRIES = [
+    # value: outcome in slots 1, 2, 3, 5
+    ("0", [_OK, _OK, _STAGE, _OK]),
+    ("-0", [_OK, _OK, _STAGE, _OK]),
+    ("00", [_OK, _OK, _STAGE, _OK]),
+    ("0/7", [_OK, _OK, _STAGE, _OK]),
+    (0, [_unreadable(n, "not a decimal string: 0") for n in (1, 2, 3, 5)]),
+    ("0.0", [_unreadable(n, "not a decimal string: '0.0'") for n in (1, 2, 3, 5)]),
+    (" 0", [_unreadable(n, "not a decimal string: ' 0'") for n in (1, 2, 3, 5)]),
+    ("", [_unreadable(n, "not a decimal string: ''") for n in (1, 2, 3, 5)]),
+    (None, [_unreadable(n, "not a decimal string: None") for n in (1, 2, 3, 5)]),
+    ([], [_unreadable(n, "not a decimal string: []") for n in (1, 2, 3, 5)]),
+    ("1", [_LAYOUT, _LAYOUT, _STAGE, _STAGE]),
+    ("1/0", [_unreadable(n, "zero denominator: '1/0'") for n in (1, 2, 3, 5)]),
+]
+
+
+def _realize_document(data, tmp_path, capsys):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["realize", "--ledger", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("value, outcomes", REALIZED_ENTRIES, ids=[repr(v) for v, _ in REALIZED_ENTRIES])
+@pytest.mark.parametrize("index", range(4), ids=["slot 1", "slot 2", "bundled slot 3", "unbundled slot 5"])
+def test_realized_entry_gives_the_documented_exit(value, outcomes, index, tmp_path, capsys):
+    data = run_pipeline("ab").to_dict()
+    data["realized"][[0, 1, 2, 4][index]] = value
+    assert _realize_document(data, tmp_path, capsys) == outcomes[index]
+
+
+@pytest.mark.parametrize(
+    "config, realized, outcome",
+    [
+        (Config(), ["0", "0", "29"] + ["0"] * 4, (4, "", "malformed ledger: realized must be a list of 8 coordinates\n")),
+        (Config(), ["0", "0", "29"] + ["0"] * 6, (4, "", "malformed ledger: realized must be a list of 8 coordinates\n")),
+        (Config(dims=5, bundle_coordinate=5), ["0"] * 4, (4, "", "malformed ledger: realized must be a list of 5 coordinates\n")),
+        (Config(dims=5, bundle_coordinate=5), ["0"] * 4 + ["29", "0"], (4, "", "malformed ledger: realized must be a list of 5 coordinates\n")),
+        (Config(dims=5, bundle_coordinate=5), ["0"] * 5, _STAGE),
+        (Config(dims=5, bundle_coordinate=5), ["0", "0", "0", "-0", "29"], _OK),
+    ],
+    ids=["short", "long", "short of the last, bundled slot", "long past the bundled slot", "all zero", "-0"],
+)
+def test_realized_list_gives_the_documented_exit(config, realized, outcome, tmp_path, capsys):
+    data = run_pipeline("ab", config).to_dict()
+    data["realized"] = realized
+    assert _realize_document(data, tmp_path, capsys) == outcome
