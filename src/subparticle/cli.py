@@ -7,14 +7,18 @@ once every stored field is recomputed), ``eval`` (expression inspector),
 5 integrity failure, 6 infinite value, 7 internal error (any other
 exception, reported on one line with no traceback).  Commands return only
 0 or 1 and raise every failure; ``main`` holds the one mapping from a
-failure to its exit code and stderr message.
+failure to its exit code and stderr message.  Output that cannot be
+written (a closed pipe, a full disk) is an internal error, and a standard
+stream that cannot be written never changes the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +48,20 @@ def _fail(code: int, message: str) -> int:
     except OSError:  # stderr is gone (a closed pipe): the exit code still tells
         pass
     return code
+
+
+def _settle() -> None:
+    """Flush stdout and stderr.  One that cannot be written is pointed at the null device, so that the
+    interpreter's own flush of it at exit cannot fail and turn the exit code into 120."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None: not open when Python started
+                stream.flush()
+        except OSError:
+            with contextlib.suppress(OSError):  # a stream with no file descriptor is left as it is
+                fd, null = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
 
 
 class _Refusal(Exception):
@@ -177,9 +195,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        return globals()[f"_cmd_{args.command}"](args)  # looked up per call, so a rebound command is the one run
+        args = _parser().parse_args(argv)
+        code = globals()[f"_cmd_{args.command}"](args)  # looked up per call, so a rebound command is the one run
+        print(end="", flush=True)  # output that cannot be written fails here, as an internal error
+        return code
     except _Refusal as exc:
         return _fail(*exc.args)
     except SymbolNotInAlphabetError as exc:
@@ -192,6 +212,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_INFINITE_VALUE, str(exc))
     except Exception as exc:  # the last resort: one documented line, no traceback
         return _fail(EXIT_INTERNAL_ERROR, f"internal error: {type(exc).__name__}: {brief(str(exc))}")
+    finally:  # after argparse's own exit too
+        _settle()
 
 
 if __name__ == "__main__":

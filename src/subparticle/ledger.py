@@ -9,27 +9,27 @@ triples in descending exponent order, and the zero hyperreal is exactly
 ``[]``.
 
 Format v1 fixes the shape of every field, so ``Ledger.to_json`` writes the
-document by that layout, field by field, and is the one writer of ledger
-text; ``Ledger.from_dict`` is the one reader.  This module alone knows the
-triple form: ``_hyperreal_json`` writes every hyperreal field from its
-terms, or from ``Config.rows`` for the particle's own objects, and
-``_hyperreal`` reads each back over the config's checked base, refusing
-any JSON value but a list, unless it is exactly its slot's cached row.
-A realized entry that is the shared zero is written ``"0"``; a realized list
-of ``"0"``s but for the bundled entry reads as ``Config.zeros`` plus that
-entry.  ``json.dumps(ledger.to_dict(), indent=2)``, the parsed document
-dumped, equals ``ledger.to_json()`` byte for byte.  ``Config.from_dict``
-keeps its last 64 configs, by their five settings of exact type (``int``,
-``str``), so ledgers share their config.
+document by that layout and is the one writer of ledger text, and
+``Ledger.from_dict`` the one reader.  This module alone knows the triple
+form: ``_hyperreal_json`` writes a hyperreal and ``_hyperreal`` reads one back
+over the config's checked base, refusing any JSON value but a list.  A run's
+three vector fields are its config's constants (``Config.table``) but for the
+slots the run moves, so ``_vector_json`` and ``_parse_vector`` write or read
+only those slots when every other one holds its own entry exactly, and every
+entry otherwise.  ``json.dumps(ledger.to_dict(), indent=2)`` equals
+``ledger.to_json()`` byte for byte.  ``Config.from_dict`` keeps its last 64
+configs, keyed by five settings of exact type, so ledgers share them.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from json.encoder import encode_basestring_ascii
+from operator import is_
 
 from .codec import DEFAULT_ALPHABET, Alphabet
 from .engine import RealizedVector, Ultrasubparticle, _check_coord
@@ -59,9 +59,9 @@ class Config:
     ``codec_alphabet`` and ``particle`` are the Alphabet and the
     Ultrasubparticle the settings describe, built once; their constructors
     are the checks of the settings.  ``signs`` is the particle's layout.
-    ``rows`` are its coordinates as ledger text and as ``json.loads`` lists,
-    built on first use; slots share one of each per distinct value (<= 4).
-    ``zeros``, built likewise, is the realized zero row and ``dims - 1`` ``"0"``s."""
+    ``table`` holds its ledgers' three vector fields as a run leaves them
+    (see ``_Vector``), built on the first ledger the config writes or reads;
+    slots share one text and one JSON value per distinct entry (<= 4)."""
 
     base: int = 10
     dims: int = 8
@@ -93,14 +93,12 @@ class Config:
         return self.signs[self.bundle_coordinate - 3]
 
     @cached_property
-    def rows(self) -> tuple[tuple[str, ...], tuple[list, ...]]:
-        distinct = {id(value): value for value in self.particle.coords()}  # one object per value
-        rows = {key: (text := _hyperreal_json(value), json.loads(text)) for key, value in distinct.items()}
-        return tuple(zip(*(rows[id(value)] for value in self.particle.coords())))
-
-    @cached_property
-    def zeros(self) -> tuple[tuple[Fraction, ...], list[str]]:
-        return (_ZERO,) * self.dims, ["0"] * (self.dims - 1)
+    def table(self) -> tuple[_Vector, _Vector, _Vector]:
+        slot, hyperreal = self.bundle_coordinate - 1, partial(_hyperreal, base=self.base)
+        ultra = _vector("ultrasubparticle", (), self.particle.coords(), _hyperreal_json, hyperreal, tuple)
+        realized = _vector("realized", (slot,), (_ZERO,) * self.dims, lambda value: f'"{rational_to_decimal(value)}"',
+                           parse_rational, lambda coords: RealizedVector(coords).coords)
+        return ultra, ultra._replace(key="intermediate", moved=(1, slot)), realized
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _CONFIG_KEYS}
@@ -149,7 +147,7 @@ class Ledger:
         """The document, written field by field in format v1's layout."""
         config, count, code = self.config, self.count, to_decimal(self.code)
         infinite, degenerate = ("true" if flag else "false" for flag in (count.is_infinite, count.is_degenerate))
-        realized = _list_json(['"0"' if entry is _ZERO else f'"{rational_to_decimal(entry)}"' for entry in self.realized])
+        ultra, intermediate, realized = config.table
         return (
             f'{{\n  "version": "{LEDGER_VERSION}",\n  "config": {{\n'
             f'    "base": {config.base},\n'
@@ -164,9 +162,9 @@ class Ledger:
             f'    "infinite": {infinite},\n'
             f'    "degenerate": {degenerate}\n  }},\n'
             f'  "bundle_sign": "{config.quality_signs[config.bundle_coordinate - 3]}",\n'
-            f'  "ultrasubparticle": {_coords_json(self.ultrasubparticle, config)},\n'
-            f'  "intermediate": {_coords_json(self.intermediate, config)},\n'
-            f'  "realized": {realized},\n'
+            f'  "ultrasubparticle": {_vector_json(self.ultrasubparticle, ultra)},\n'
+            f'  "intermediate": {_vector_json(self.intermediate, intermediate)},\n'
+            f'  "realized": {_vector_json(self.realized, realized)},\n'
             f'  "decoded": {encode_basestring_ascii(self.decoded)}\n}}'
         )
 
@@ -194,11 +192,9 @@ class Ledger:
         sign_text = data["bundle_sign"]
         if sign_text != config.quality_signs[config.bundle_coordinate - 3]:
             raise LedgerError(f"bundle_sign {brief(sign_text)} disagrees with the config quality_signs")
-        hyperreal = partial(_hyperreal, base=config.base)
-        ultra = _parse_coords(data["ultrasubparticle"], config, "ultrasubparticle", hyperreal, config.rows[1])
-        intermediate = _parse_coords(data["intermediate"], config, "intermediate", hyperreal, config.rows[1])
-        realized = _parse_realized(data["realized"], config)
-        return cls(config, word, code, count, ultra, intermediate, realized, decoded)
+        ultra, intermediate, realized = config.table
+        return cls(config, word, code, count, _parse_vector(data["ultrasubparticle"], ultra),
+                   _parse_vector(data["intermediate"], intermediate), _parse_vector(data["realized"], realized), decoded)
 
     @classmethod
     def from_json(cls, text: str) -> "Ledger":
@@ -216,13 +212,6 @@ def _hyperreal_json(value: Hyperreal) -> str:
         for exp, c in sorted(value.terms.items(), reverse=True)
     ]
     return "[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"
-
-
-def _coords_json(entries, config: Config) -> str:
-    """A coordinate list; each entry that is the particle's own object for its slot is its cached text."""
-    own, texts = config.particle.coords(), config.rows[0]
-    rows = [text if entry is mine else _hyperreal_json(entry) for entry, mine, text in zip(entries, own, texts)]
-    return _list_json(rows + list(map(_hyperreal_json, entries[config.dims:])))
 
 
 def _hyperreal(value, base: int) -> Hyperreal:
@@ -256,9 +245,16 @@ def _hyperreal(value, base: int) -> Hyperreal:
     return _trusted(base, terms)
 
 
-def _list_json(items) -> str:
-    """A non-empty top-level list, one item a line."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+# A vector field as every run leaves it (``Config.table``): its key, the slots a run moves, and the run's own
+# entry at every slot as an object, as ledger text and as a JSON value, shared by the slots of one object.
+# ``write`` and ``read`` give any other entry's text and object, and ``whole`` checks a field read entry by entry.
+_Vector = namedtuple("_Vector", "key moved own texts values write read whole")
+
+
+def _vector(key, moved, own, write, read, whole) -> _Vector:
+    rows = {id(entry): (text := write(entry), json.loads(text)) for entry in {id(e): e for e in own}.values()}
+    texts, values = zip(*(rows[id(entry)] for entry in own))
+    return _Vector(key, moved, own, list(texts), list(values), write, read, whole)
 
 
 def _parse_natural(value, field: str) -> int:
@@ -280,31 +276,35 @@ def _parse_count(value, base: int) -> Hypernatural:
     return count
 
 
-def _parse_realized(value, config: Config) -> tuple[Fraction, ...]:
-    """The realized vector; a list of ``"0"``s but for the bundled entry is the config's zero row plus that entry."""
-    (zeros, others), slot = config.zeros, config.bundle_coordinate  # slot >= 3: naming and count are "0"s
-    if isinstance(value, list) and len(value) == config.dims and value[:slot - 1] + value[slot:] == others:
-        try:
-            return zeros[:slot - 1] + (parse_rational(value[slot - 1]),) + zeros[slot:]
-        except (TypeError, ValueError) as exc:
-            raise LedgerError(f"invalid realized coordinate {slot}: {exc}") from exc
-    realized = _parse_coords(value, config, "realized", parse_rational)
-    try:
-        return RealizedVector(realized).coords
-    except ValueError as exc:
-        raise LedgerError(f"invalid realized vector: {exc}") from None
+def _vector_json(entries, vector: _Vector) -> str:
+    """A vector field, one entry a line: the own texts with the moved entries in, if the others are own objects."""
+    _, moved, own, texts, _, write, _, _ = vector
+    probe, texts = list(entries), list(texts)
+    if len(probe) == len(own):
+        for slot in moved:
+            probe[slot], texts[slot] = own[slot], write(entries[slot])
+    if len(probe) != len(own) or not all(map(is_, probe, own)):
+        texts = map(write, entries)
+    return "[\n    " + ",\n    ".join(texts) + "\n  ]"
 
 
-def _parse_coords(value, config: Config, field: str, parse, rows=None) -> tuple:
-    """The ``config.dims`` entries of a coordinate list, each read by ``parse``, except that an entry equal to
-    its slot's row of ``rows`` with an ``int`` exponent (``-1.0 == -1``, ``False == 0``) is the particle's own."""
-    if not isinstance(value, list) or len(value) != config.dims:
-        raise LedgerError(f"{field} must be a list of {config.dims} coordinates")
-    coords, own = [], config.particle.coords()
-    for slot, item in enumerate(value):
+def _parse_vector(value, vector: _Vector) -> tuple:
+    """A vector field: the own objects with the moved entries read in, if every other slot holds its own JSON
+    value with ``int`` exponents (``-1.0 == -1``, ``False == 0``; past the naming slot an own value is one
+    triple or ``"0"``, so ``row[0][0]`` is its exponent), and otherwise every entry read and the whole checked."""
+    field, moved, own, _, values, _, read, whole = vector
+    if not isinstance(value, list) or len(value) != len(own):
+        raise LedgerError(f"{field} must be a list of {len(own)} coordinates")
+    probe, coords = value.copy(), list(own)
+    for slot in moved:
+        probe[slot] = values[slot]
+    exact = probe == values and {type(row[0][0]) for row in probe[1:]} <= {int, str}
+    for slot in moved if exact else range(len(own)):
         try:
-            exact = rows and item == rows[slot] and (not item or type(item[0][0]) is int)  # rows hold one triple at most
-            coords.append(own[slot] if exact else parse(item))
+            coords[slot] = read(value[slot])
         except (TypeError, ValueError) as exc:
             raise LedgerError(f"invalid {field} coordinate {slot + 1}: {exc}") from exc
-    return tuple(coords)
+    try:
+        return tuple(coords) if exact else whole(coords)
+    except ValueError as exc:
+        raise LedgerError(f"invalid {field} vector: {exc}") from None

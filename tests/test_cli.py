@@ -459,26 +459,46 @@ def test_main_is_the_one_place_a_failure_becomes_an_exit_code():
     assert ast.unparse(tree).count("except (OSError, UnicodeDecodeError)") == 1
 
 
+def _run_module(argv, tmp_path, unbuffered, **kwargs):
+    """``python -m subparticle`` with ``PYTHONUNBUFFERED`` set to ``unbuffered``, or removed if it is None."""
+    src = pathlib.Path(subparticle.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(src), **({} if unbuffered is None else {"PYTHONUNBUFFERED": unbuffered}))
+    return subprocess.run([sys.executable, "-m", "subparticle", *argv], cwd=tmp_path, env=env, timeout=60, **kwargs)
+
+
+# The interpreter flushes stdout and stderr again at exit, and a buffered
+# stream that cannot take its data would turn any exit code into 120.
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv, expected",
     [(["eval", "1+"], 2), (["realize", "--ledger", "no-such-ledger.json"], 4), (["encode", "--word", "ab"], 7)],
 )
-def test_exit_code_holds_when_stdout_and_stderr_are_a_closed_pipe(argv, expected, tmp_path):
-    src = pathlib.Path(subparticle.__file__).resolve().parents[1]
+def test_exit_code_holds_when_stdout_and_stderr_are_a_closed_pipe(argv, expected, unbuffered, tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write now fails with a broken pipe
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "subparticle", *argv],
-            stdout=write_end,
-            stderr=write_end,
-            cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60,
-        )
+        done = _run_module(argv, tmp_path, unbuffered, stdout=write_end, stderr=write_end)
     finally:
         os.close(write_end)
     assert done.returncode == expected
+
+
+@pytest.mark.parametrize("argv, expected", [(["encode", "--word", "ab"], 0), (["eval", "1+"], 2)])
+def test_exit_code_holds_when_stdout_was_never_open(argv, expected, tmp_path):
+    # With file descriptor 1 closed, Python starts with sys.stdout None, and print writes nothing.
+    done = _run_module(argv, tmp_path, None, preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True)
+    assert done.returncode == expected
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_output_to_a_full_device_is_an_internal_error(unbuffered, tmp_path):
+    with open("/dev/full", "w") as full:
+        done = _run_module(["encode", "--word", "ab"], tmp_path, unbuffered, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 7
+    assert done.stderr.startswith("internal error: OSError: ") and done.stderr.count("\n") == 1
 
 
 # Fuzzed command lines: well-formed for argparse, with fuzzed values, file

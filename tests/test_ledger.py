@@ -558,12 +558,75 @@ def test_swapped_eps_rows_read_but_fail_their_stage(field, slots):
 def test_cached_rows_are_shared_and_built_only_for_ledgers():
     config = Config(base=2, dims=4096, bundle_coordinate=4)
     ledger = run_pipeline("ab", config)
-    assert "rows" not in vars(config)  # building the config and running the pipeline write no ledger
-    texts, lists = config.rows
-    assert len(texts) == len(lists) == 4096
+    assert "table" not in vars(config)  # building the config and running the pipeline write no ledger
+    ultra, intermediate, realized = config.table
+    assert [vector.moved for vector in config.table] == [(), (1, 3), (3,)]
+    assert ultra.own is intermediate.own is config.particle.coords() and realized.own == (0,) * 4096
+    texts, lists = ultra.texts, ultra.values
+    assert intermediate.texts is texts and intermediate.values is lists
     assert len({id(text) for text in texts}) <= 4 and len({id(row) for row in lists}) <= 4
     assert all(len(row) <= 1 for row in lists)  # the reader's exact-type check looks at one triple
-    assert list(lists) == [json.loads(text) for text in texts] == json.loads(ledger.to_json())["ultrasubparticle"]
+    document = json.loads(ledger.to_json())
+    for vector in config.table:
+        assert len(vector.texts) == len(vector.values) == 4096
+        assert vector.values == [json.loads(text) for text in vector.texts]
+        unmoved = [slot for slot in range(4096) if slot not in vector.moved]
+        assert [vector.values[slot] for slot in unmoved] == [document[vector.key][slot] for slot in unmoved]
+
+
+# Each vector field with one slot set to each value below, its triple given an
+# extra triple, a fourth item or each position set to each value below, or the
+# slot swapped with the next.  Reading and verifying must give what they give
+# when the field's table matches nothing, so that every entry is read: the
+# same ledger and word, or the same error message.
+MUTANT_VALUES = [-1.0, 0.0, False, True, None, "0", "-0", [], {}]
+
+
+def _mutants(entries, slot):
+    entry = entries[slot]
+    mutants = list(MUTANT_VALUES)
+    if isinstance(entry, list):
+        mutants.append(entry + [[-7, "1", "1"]])
+        for triple in entry[:1]:
+            mutants.append([triple + ["1"]])
+            mutants += [[triple[:i] + [value] + triple[i + 1:]] for i in range(3) for value in MUTANT_VALUES]
+    for mutant in mutants:
+        yield [*entries[:slot], mutant, *entries[slot + 1:]]
+    if slot + 1 < len(entries):
+        yield [*entries[:slot], entries[slot + 1], entry, *entries[slot + 2:]]
+
+
+def _read_and_verify(data):
+    try:
+        ledger = Ledger.from_dict(data)
+    except LedgerError as exc:
+        return "LedgerError", str(exc)
+    try:
+        return ledger, verify_ledger(ledger)
+    except IntegrityError as exc:
+        return ledger, "IntegrityError", str(exc)
+
+
+@pytest.mark.parametrize("key", ["ultrasubparticle", "intermediate", "realized"])
+@pytest.mark.parametrize(
+    "config, slots",
+    [
+        (Config(), range(8)),
+        (Config(base=2, dims=32, bundle_coordinate=4), range(32)),
+        (Config(dims=4096, bundle_coordinate=2048), (2047, 4095)),
+    ],
+    ids=["default", "negative slot", "4096 dims, sampled slots"],
+)
+def test_reader_gives_what_reading_every_entry_gives(config, slots, key, monkeypatch):
+    document = run_pipeline("ab", config).to_dict()
+    documents = [{**document, key: mutant} for slot in slots for mutant in _mutants(document[key], slot)]
+    outcomes = [_read_and_verify(data) for data in documents]
+    shared = Ledger.from_dict(document).config  # the config every one of these documents reads with
+    nothing = [object()] * config.dims
+    table = tuple(vector._replace(values=nothing) if vector.key == key else vector for vector in shared.table)
+    monkeypatch.setitem(vars(shared), "table", table)
+    for data, outcome in zip(documents, outcomes):
+        assert _read_and_verify(data) == outcome, data[key][:40]
 
 
 # The realized stage reads only the slots that are not the particle's own
