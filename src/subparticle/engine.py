@@ -170,17 +170,22 @@ class RealizationMap:
     def __post_init__(self):
         _check_dims(self.dims)
 
-    def apply(self, coords, slots=None) -> tuple[Fraction, ...]:
+    def apply(self, coords) -> tuple[Fraction, ...]:
         coords = tuple(coords)
         if len(coords) != self.dims:
             raise ValueError(f"dimension mismatch: map has {self.dims}, vector has {len(coords)}")
-        realized = [_ZERO] * self.dims
-        for index in range(2, self.dims) if slots is None else slots:  # slots not given must be infinitesimal
-            try:
-                realized[index] = coords[index].st()
-            except InfiniteValueError:
-                raise InfiniteCoordinateError(index + 1) from None
-        return tuple(realized)
+        return _standard_parts(coords, range(2, self.dims))
+
+
+def _standard_parts(coords: tuple[Hyperreal, ...], slots) -> tuple[Fraction, ...]:
+    """The standard part of each entry of ``coords`` at ``slots``, and 0 at every other slot."""
+    realized = [_ZERO] * len(coords)
+    for index in slots:
+        try:
+            realized[index] = coords[index].st()
+        except InfiniteValueError:
+            raise InfiniteCoordinateError(index + 1) from None
+    return tuple(realized)
 
 
 @dataclass(frozen=True)
@@ -302,7 +307,7 @@ def realize(subparticle, particle: Ultrasubparticle | None = None) -> RealizedVe
     _hyperreal_vector(particle.base, [coords[i] for i in moved], "an intermediate subparticle", least=0)
     Hypernatural(coords[1])  # count slot must be natural-formed
     vector = object.__new__(RealizedVector)  # zero naming and count slots by construction: not checked again
-    vars(vector).update(coords=RealizationMap(particle.dims).apply(coords, [i for i in moved if i > 1]))
+    vars(vector).update(coords=_standard_parts(coords, [i for i in moved if i > 1]))
     return vector
 
 

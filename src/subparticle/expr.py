@@ -1,11 +1,15 @@
 """A small expression language for inspecting hyperreal values.
 
-Grammar (whitespace insignificant)::
+Grammar::
 
     expr    := term (('+' | '-') term)*
     term    := factor ('*' factor)*
     factor  := '-' factor | primary ('^' '-'? INT)?
     primary := INT ('/' INT)? | 'eps' | 'H' | 'st' '(' expr ')' | '(' expr ')'
+
+An INT is a run of ASCII digits and a name a run of ASCII letters; space,
+tab, CR and LF separate tokens.  Any other character is a parse error at
+its offset, and the first such one wins over any syntax error.
 
 ``eps`` denotes 1/B**omega and ``H`` denotes B**omega for the base B chosen
 at evaluation time.  ``^`` takes a literal integer exponent and binds
@@ -25,7 +29,8 @@ the input's length.
 from __future__ import annotations
 
 import operator
-import string
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -114,48 +119,25 @@ class ExprAst:
         return "".join(parts)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "name", "eof", or the punctuation character itself
-    text: str
-    offset: int
+_Token = namedtuple("_Token", "kind text offset")  # kind: "int", "name", "eof", or the punctuation character
 
-    @property
-    def end(self) -> int:
-        return self.offset + len(self.text)
+# Each match is a token, a run of whitespace (no group: skipped) or one other
+# character, which no token may hold; the last is the empty match at \Z.
+_SCANNER = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[-+*^/()])|[ \t\r\n]+|(?P<eof>\Z)|(?P<bad>.)")
 
-
-_DIGITS = set(string.digits)
-_LETTERS = set(string.ascii_letters)
-_PUNCTUATION = set("+-*^/()")
+# The left-associative binary operators by token: precedence level (higher
+# binds tighter) and node kind.
+_BINARY = {"+": (0, NodeKind.ADD), "-": (0, NodeKind.SUB), "*": (1, NodeKind.MUL)}
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch in _DIGITS:
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-        elif ch in _LETTERS:
-            j = i + 1
-            while j < n and text[j] in _LETTERS:
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-        elif ch in _PUNCTUATION:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("eof", "", n))
+    for match in _SCANNER.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match[0]!r}", match.start())
+        if kind:
+            tokens.append(_Token(match[0] if kind == "punct" else kind, match[0], match.start()))
     return tokens
 
 
@@ -195,21 +177,14 @@ class _Parser:
             raise ParseError(f"unexpected token {token.text!r}", token.offset)
         return node
 
-    def expr(self) -> ExprAst:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            right = self.term()
-            kind = NodeKind.ADD if op.kind == "+" else NodeKind.SUB
-            node = ExprAst(kind, (node, right), span=_join(node.span, right.span))
-        return node
-
-    def term(self) -> ExprAst:
+    def expr(self, level: int = 0) -> ExprAst:
+        """Factors joined by the operators of ``level`` or tighter, grouped to the
+        left; each right operand is an expr of the next tighter level."""
         node = self.factor()
-        while self.peek().kind == "*":
+        while (op := _BINARY.get(self.peek().kind)) and op[0] >= level:
             self.advance()
-            right = self.factor()
-            node = ExprAst(NodeKind.MUL, (node, right), span=_join(node.span, right.span))
+            right = self.expr(op[0] + 1)
+            node = ExprAst(op[1], (node, right), span=_join(node.span, right.span))
         return node
 
     def factor(self) -> ExprAst:
@@ -250,7 +225,7 @@ class _Parser:
                 return ExprAst(
                     NodeKind.RAT_LIT,
                     value=Fraction(parse_decimal(token.text), denominator),
-                    span=(token.offset, den.end - token.offset),
+                    span=(token.offset, den.offset + len(den.text) - token.offset),
                 )
             return ExprAst(
                 NodeKind.INT_LIT, value=parse_decimal(token.text), span=(token.offset, len(token.text))
@@ -267,13 +242,13 @@ class _Parser:
                 self.expect("(", "expected '(' after 'st'")
                 inner = self.nested(self.expr, token)
                 close = self.expect(")", "expected ')'")
-                return ExprAst(NodeKind.ST, (inner,), span=(token.offset, close.end - token.offset))
+                return ExprAst(NodeKind.ST, (inner,), span=(token.offset, close.offset + 1 - token.offset))
             raise ParseError(f"unknown name {token.text!r}", token.offset)
         if token.kind == "(":
             self.advance()
             inner = self.nested(self.expr, token)
             close = self.expect(")", "expected ')'")
-            return ExprAst(NodeKind.PAREN, (inner,), span=(token.offset, close.end - token.offset))
+            return ExprAst(NodeKind.PAREN, (inner,), span=(token.offset, close.offset + 1 - token.offset))
         if token.kind == "eof":
             raise ParseError("unexpected end of input", token.offset)
         raise ParseError(f"unexpected token {token.text!r}", token.offset)

@@ -24,6 +24,7 @@ configs, keyed by five settings of exact type, so ledgers share them.
 from __future__ import annotations
 
 import json
+import marshal
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -246,15 +247,16 @@ def _hyperreal(value, base: int) -> Hyperreal:
 
 
 # A vector field as every run leaves it (``Config.table``): its key, the slots a run moves, and the run's own
-# entry at every slot as an object, as ledger text and as a JSON value, shared by the slots of one object.
-# ``write`` and ``read`` give any other entry's text and object, and ``whole`` checks a field read entry by entry.
-_Vector = namedtuple("_Vector", "key moved own texts values write read whole")
+# entry at every slot as an object, as ledger text and as a JSON value, shared by the slots of one object, and
+# the values' ``marshal`` bytes.  ``write`` and ``read`` give any other entry's text and object, and ``whole``
+# checks a field read entry by entry.
+_Vector = namedtuple("_Vector", "key moved own texts values marshalled write read whole")
 
 
 def _vector(key, moved, own, write, read, whole) -> _Vector:
     rows = {id(entry): (text := write(entry), json.loads(text)) for entry in {id(e): e for e in own}.values()}
-    texts, values = zip(*(rows[id(entry)] for entry in own))
-    return _Vector(key, moved, own, list(texts), list(values), write, read, whole)
+    texts, values = map(list, zip(*(rows[id(entry)] for entry in own)))
+    return _Vector(key, moved, own, texts, values, marshal.dumps(values, 2), write, read, whole)
 
 
 def _parse_natural(value, field: str) -> int:
@@ -278,7 +280,7 @@ def _parse_count(value, base: int) -> Hypernatural:
 
 def _vector_json(entries, vector: _Vector) -> str:
     """A vector field, one entry a line: the own texts with the moved entries in, if the others are own objects."""
-    _, moved, own, texts, _, write, _, _ = vector
+    _, moved, own, texts, _, _, write, _, _ = vector
     probe, texts = list(entries), list(texts)
     if len(probe) == len(own):
         for slot in moved:
@@ -290,15 +292,19 @@ def _vector_json(entries, vector: _Vector) -> str:
 
 def _parse_vector(value, vector: _Vector) -> tuple:
     """A vector field: the own objects with the moved entries read in, if every other slot holds its own JSON
-    value with ``int`` exponents (``-1.0 == -1``, ``False == 0``; past the naming slot an own value is one
-    triple or ``"0"``, so ``row[0][0]`` is its exponent), and otherwise every entry read and the whole checked."""
-    field, moved, own, _, values, _, read, whole = vector
+    value item for item and type for type, and otherwise every entry read and the whole checked.  Their
+    ``marshal`` bytes are compared: version 2 writes no back-references and only exact built-in types, so
+    ``-1.0 == -1``, ``False == 0`` and a ``UserList`` equals a list, but none of them has the list's bytes."""
+    field, moved, own, _, values, marshalled, _, read, whole = vector
     if not isinstance(value, list) or len(value) != len(own):
         raise LedgerError(f"{field} must be a list of {len(own)} coordinates")
     probe, coords = value.copy(), list(own)
     for slot in moved:
         probe[slot] = values[slot]
-    exact = probe == values and {type(row[0][0]) for row in probe[1:]} <= {int, str}
+    try:
+        exact = marshal.dumps(probe, 2) == marshalled
+    except ValueError:  # a type json.loads never gives
+        exact = False
     for slot in moved if exact else range(len(own)):
         try:
             coords[slot] = read(value[slot])

@@ -104,6 +104,33 @@ def horner_decimal(text):
     return sign * n
 
 
+def scan_expression(text):
+    """The tokens of an expression by one character at a time, from the
+    token rules: a run of the ASCII digits 0-9 is an ``int``, a run of the
+    ASCII letters a-z and A-Z a ``name``, each of ``+ - * ^ / ( )`` a token
+    whose kind is the character, and space, tab, CR and LF only separate
+    tokens.  A list of ``(kind, text, offset)`` ending in ``("eof", "",
+    len(text))``, or ``(message, offset)`` of the parse error at the first
+    other character."""
+    runs = {"int": "0123456789", "name": "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"}
+    tokens, i = [], 0
+    while i < len(text):
+        ch = text[i]
+        kind = next((kind for kind, chars in runs.items() if ch in chars), None)
+        if kind:
+            start = i
+            while i < len(text) and text[i] in runs[kind]:
+                i += 1
+            tokens.append((kind, text[start:i], start))
+            continue
+        if ch in "+-*^/()":
+            tokens.append((ch, ch, i))
+        elif ch not in " \t\r\n":
+            return f"unexpected character {ch!r}", i
+        i += 1
+    return tokens + [("eof", "", len(text))]
+
+
 def ledger_document(ledger):
     """Ledger format v1 as a dict, built from the ledger's fields with str(),
     Fraction and sorted term lists rather than the library's serializers."""

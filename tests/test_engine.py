@@ -273,6 +273,14 @@ class TestRealizationMap:
         with pytest.raises(ValueError):
             RealizationMap(4).apply((zero(), one(), eps()))
 
+    def test_every_quality_slot_is_checked(self):
+        g = Hyperreal.generator(10)
+        with pytest.raises(TypeError):
+            RealizationMap(4).apply((g, g, g, g), slots=[])
+        with pytest.raises(InfiniteCoordinateError) as info:
+            RealizationMap(4).apply((g, g, eps(), g))
+        assert info.value.index == 4
+
     def test_realized_vector_validates_suppressed_slots(self):
         with pytest.raises(ValueError):
             RealizedVector((F(1), F(0), F(0)))

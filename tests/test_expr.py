@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from subparticle import expr
 from subparticle.expr import (
     MAX_EXPONENT,
     EvalError,
@@ -18,7 +19,7 @@ from subparticle.expr import (
 from subparticle.hyperreal import Hyperreal, InfiniteValueError
 
 from golden_expr import EVAL_ERRORS, GOLDEN, GOLDEN_EVAL, MALFORMED
-from oracles import convolve_terms
+from oracles import convolve_terms, scan_expression
 
 
 @pytest.mark.parametrize("source, canonical", GOLDEN)
@@ -190,3 +191,33 @@ def test_token_soups_give_a_value_or_a_documented_error(text, base):
         return
     event("value")
     assert isinstance(value, (Fraction, Hyperreal))
+
+
+# The scanner against the token rules, on token characters, the whitespace
+# that separates tokens and characters that look like one or the other:
+# other Unicode space, digits and letters, a lone surrogate.
+LOOK_ALIKES = ["\f", "\v", "\x00", "\x85", "\xa0", "\u2028", "\u3000", "\u0662", "\xb2", "\xe9", "\u212a",
+               "\ud800", "_", ".", "#", "$"]
+SCANNER_TEXTS = st.lists(st.sampled_from([*"019azAZ+-*^/() \t\r\n", *LOOK_ALIKES, "st", "eps"])).map("".join) | st.text()
+
+
+def _library_tokens(text):
+    try:
+        return [(token.kind, token.text, token.offset) for token in expr._tokenize(text)]
+    except ParseError as exc:
+        return exc.message, exc.offset
+
+
+@settings(max_examples=1000, deadline=None)
+@given(SCANNER_TEXTS)
+@example("")
+@example("1 + 2\n")
+@example("\f")
+@example("\v")
+@example(" ")
+@example("\u0661\u0662")
+@example("\xb2")
+@example("\ud800")
+@example("1" + "0" * 99_999)
+def test_scanner_follows_the_token_rules(text):
+    assert _library_tokens(text) == scan_expression(text)
