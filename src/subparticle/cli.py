@@ -79,13 +79,14 @@ def _file(path: str, code: int, failure: str, text: str | None = None) -> str | 
         raise _Refusal(code, f"{failure}: {exc}") from exc
 
 
-# Most characters of the source an error message shows around its caret.
+# Most characters of the source an error message shows around its caret, one
+# column each: a character that does not print, such as a tab or LF, shows as a space.
 CARET_WINDOW = 80
 
 
 def _column_error(source: str, message: str, offset: int) -> str:
     start = max(0, min(offset - CARET_WINDOW // 2, len(source) - CARET_WINDOW))
-    shown = source[start:start + CARET_WINDOW]
+    shown = "".join(char if char.isprintable() else " " for char in source[start:start + CARET_WINDOW])
     caret = " " * (offset - start) + "^"
     return f"error at column {offset + 1}: {message}\n  {shown}\n  {caret}"
 

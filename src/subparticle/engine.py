@@ -174,6 +174,7 @@ class RealizationMap:
         coords = tuple(coords)
         if len(coords) != self.dims:
             raise ValueError(f"dimension mismatch: map has {self.dims}, vector has {len(coords)}")
+        coords = _hyperreal_vector(getattr(coords[0], "base", None), coords, "a coordinate vector")
         return _standard_parts(coords, range(2, self.dims))
 
 

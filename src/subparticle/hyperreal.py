@@ -15,12 +15,13 @@ are pure, so instances may be shared freely between threads.  A value's
 wire form, its ``[exponent, numerator, denominator]`` triples, belongs to
 ledger format v1, so ``ledger.py`` alone writes and reads it.
 
-Dense products and powers (exponent span below ``_DENSE_SPAN`` times the
-term count) pack each operand over its common denominator into one int, a
-fixed-width digit per exponent, and take one int product or power
-(Kronecker substitution; Harvey, arXiv:0712.4046).  A packed int is at most
-a small constant times the bit size of the cleared operands plus the
-result.  Other products loop over the terms; both give the same terms.
+Monomial powers are closed form, ``(c*H**e)**k = c**k * H**(e*k)``.  Dense
+products and powers (exponent span below ``_DENSE_SPAN`` times the term
+count) pack each operand over its common denominator into one int, one
+fixed-width digit per stride step (the gcd of the exponent gaps), and take
+one int product or power (Kronecker substitution; Harvey, arXiv:0712.4046).
+A packed int is at most a small constant times the bit size of the cleared
+operands plus the result.  Other products loop over the terms; all agree.
 """
 
 from __future__ import annotations
@@ -227,6 +228,8 @@ class Hyperreal:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative powers are not defined here; see monomial_div")
+        if len(self._terms) == 1:  # a monomial: (c*H^e)^k = c^k * H^(e*k)
+            return _trusted(self._base, {exp * exponent: coeff**exponent for exp, coeff in self._terms.items()})
         if exponent >= 2 and _dense(self._terms):
             return _trusted(self._base, _packed_power(self._terms, exponent))
         result, square = Hyperreal.one(self._base), self
@@ -310,12 +313,17 @@ def _dense(terms: dict) -> bool:
     return len(terms) >= 2 and max(terms) - min(terms) < _DENSE_SPAN * len(terms)
 
 
-def _cleared(terms: dict) -> tuple[int, list[int], int]:
-    """The lowest exponent, one integer digit per exponent from it up, and their common denominator."""
+def _stride(*maps: dict) -> int:
+    """The gcd of the exponent gaps within each map: each map's exponents step by it from its lowest."""
+    return math.gcd(*[exp - low for terms in maps for low in [min(terms)] for exp in terms])
+
+
+def _cleared(terms: dict, stride: int) -> tuple[int, list[int], int]:
+    """The lowest exponent, one integer digit per ``stride`` step from it up, and their common denominator."""
     den, low = math.lcm(*[coeff.denominator for coeff in terms.values()]), min(terms)
-    digits = [0] * (max(terms) - low + 1)
+    digits = [0] * ((max(terms) - low) // stride + 1)
     for exp, coeff in terms.items():
-        digits[exp - low] = coeff.numerator * (den // coeff.denominator)
+        digits[(exp - low) // stride] = coeff.numerator * (den // coeff.denominator)
     return low, digits, den
 
 
@@ -326,30 +334,32 @@ def _pack(digits: list[int], width: int) -> int:
     return int.from_bytes(raw, "little") - int.from_bytes(half.to_bytes(width, "little") * len(digits), "little")
 
 
-def _unpack(value: int, count: int, width: int, low: int, den: int) -> dict:
-    """Terms from exponent ``low`` up whose numerators over ``den`` are the ``count`` signed digits of
+def _unpack(value: int, count: int, width: int, low: int, stride: int, den: int) -> dict:
+    """Terms at exponents ``low + stride*i`` whose numerators over ``den`` are the ``count`` signed digits of
     ``value``.  A bias of half a digit's range makes each digit nonnegative: one ``to_bytes`` splits all."""
     half = 1 << (8 * width - 1)
     zero = half.to_bytes(width, "little")
     raw = (value + int.from_bytes(zero * count, "little")).to_bytes(count * width, "little")
     digits = [raw[i : i + width] for i in range(0, count * width, width)]
-    return {low + i: Fraction(int.from_bytes(d, "little") - half, den) for i, d in enumerate(digits) if d != zero}
+    return {low + stride * i: Fraction(int.from_bytes(d, "little") - half, den) for i, d in enumerate(digits) if d != zero}
 
 
 def _packed_product(left: dict, right: dict) -> dict:
-    """One int product; an output digit sums at most min(terms) digit products."""
-    (low_x, xs, den_x), (low_y, ys, den_y) = _cleared(left), _cleared(right)
+    """One int product at the common stride; an output digit sums at most min(terms) digit products."""
+    stride = _stride(left, right)
+    (low_x, xs, den_x), (low_y, ys, den_y) = _cleared(left, stride), _cleared(right, stride)
     bits = max(map(abs, xs)).bit_length() + max(map(abs, ys)).bit_length() + min(len(left), len(right)).bit_length()
     width = bits // 8 + 1  # one more bit for the sign, in whole bytes
-    return _unpack(_pack(xs, width) * _pack(ys, width), len(xs) + len(ys) - 1, width, low_x + low_y, den_x * den_y)
+    return _unpack(_pack(xs, width) * _pack(ys, width), len(xs) + len(ys) - 1, width, low_x + low_y, stride, den_x * den_y)
 
 
 def _packed_power(terms: dict, exponent: int) -> dict:
-    """One int power; no output digit exceeds the digits' absolute sum to that power."""
-    low, digits, den = _cleared(terms)
+    """One int power at the base's stride; no output digit exceeds the digits' absolute sum to that power."""
+    stride = _stride(terms)
+    low, digits, den = _cleared(terms, stride)
     width = (sum(map(abs, digits)) ** exponent).bit_length() // 8 + 1
     count = exponent * (len(digits) - 1) + 1
-    return _unpack(_pack(digits, width) ** exponent, count, width, low * exponent, den**exponent)
+    return _unpack(_pack(digits, width) ** exponent, count, width, low * exponent, stride, den**exponent)
 
 
 def _term_body(magnitude: Fraction, exp: int) -> str:

@@ -574,4 +574,41 @@ def test_fuzzed_command_lines_give_documented_exits(fuzz_dir, case):
     if code in (0, 1):
         assert err == ""
     else:
-        assert len(lines) == 1 or (len(lines) == 3 and lines[0].startswith("error at column "))
+        assert len(lines) == 1 or (len(lines) == 3 and lines[0].startswith("error at column ") and lines[1].isprintable())
+
+
+# The caret block echoes each character of the window as one printable
+# column, so the caret sits under the character that column N names even
+# when the window holds tabs, CR, LF or other characters that do not print.
+def eval_error(expr):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--", expr])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "expr, block",
+    [
+        ("1\t+\t* 2", ["error at column 5: unexpected token '*'", "  1 + * 2", "      ^"]),
+        ("1 +\n* 2", ["error at column 5: unexpected token '*'", "  1 + * 2", "      ^"]),
+        ("1 +\f2", ["error at column 4: unexpected character '\\x0c'", "  1 + 2", "     ^"]),
+    ],
+)
+def test_caret_block_renders_whitespace_as_spaces(expr, block):
+    code, err = eval_error(expr)
+    assert code == 2
+    assert err.splitlines() == block
+
+
+@settings(deadline=None)
+@given(st.text(alphabet="1+*H() \t\r\n\x0b\x0c\x00\x1b\x7f\x85\xa0\u2028", max_size=120))
+def test_caret_sits_under_the_offending_character(expr):
+    code, err = eval_error(expr)
+    if code != 2:
+        return
+    first, shown, caret = err.splitlines()  # str.splitlines also splits at \x0b, \x0c, \x85 and more
+    assert shown.isprintable() and caret.strip() == "^"
+    index = int(first.split()[3][:-1]) - 1
+    if index < len(expr):
+        assert shown[len(caret) - 1] == (expr[index] if expr[index].isprintable() else " ")

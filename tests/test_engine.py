@@ -281,6 +281,15 @@ class TestRealizationMap:
             RealizationMap(4).apply((g, g, eps(), g))
         assert info.value.index == 4
 
+    def test_entries_get_the_vector_checks(self):
+        with pytest.raises(TypeError, match="must be Hyperreal, got int"):
+            RealizationMap(3).apply([0, 0, 5])
+        with pytest.raises(TypeError, match="must be Hyperreal, got int"):
+            RealizationMap(3).apply([zero(), 0, eps()])
+        with pytest.raises(BaseMismatchError, match="has base 10, not 2"):
+            RealizationMap(3).apply([Hyperreal.zero(2), Hyperreal.zero(10), Hyperreal.epsilon(7) + 5])
+        assert RealizationMap(3).apply([Hyperreal.zero(7), Hyperreal.one(7), Hyperreal.epsilon(7) + 5]) == (0, 0, 5)
+
     def test_realized_vector_validates_suppressed_slots(self):
         with pytest.raises(ValueError):
             RealizedVector((F(1), F(0), F(0)))

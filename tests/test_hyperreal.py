@@ -502,9 +502,7 @@ dense_maps = st.booleans().flatmap(
 bases = st.sampled_from([2, 10])
 
 
-@settings(deadline=None)
-@given(bases, dense_maps, dense_maps)
-def test_dense_products_match_the_naive_convolution(base, xs, ys):
+def assert_products_convolve(base, xs, ys):
     x, y = Hyperreal(base, xs), Hyperreal(base, ys)
     for left, right in ((x, y), (x + y, x - y), (x, -x)):
         product = left * right
@@ -513,17 +511,31 @@ def test_dense_products_match_the_naive_convolution(base, xs, ys):
         assert dict(product.terms) == convolve_terms(list(left.terms.items()), list(right.terms.items()))
 
 
-@settings(deadline=None)
-@given(bases, dense_maps, st.integers(min_value=0, max_value=12))
-def test_dense_powers_match_repeated_convolution(base, xs, exponent):
-    x = Hyperreal(base, xs)
+def repeated_convolution(x, exponent):
     expected = {0: F(1)}
     for _ in range(exponent):
         expected = convolve_terms(list(expected.items()), list(x.terms.items()))
+    return expected
+
+
+def assert_power_convolves(base, xs, exponent):
+    x = Hyperreal(base, xs)
     power = x ** exponent
     assert_normal_form(power)
     assert power.base == base
-    assert dict(power.terms) == expected
+    assert dict(power.terms) == repeated_convolution(x, exponent)
+
+
+@settings(deadline=None)
+@given(bases, dense_maps, dense_maps)
+def test_dense_products_match_the_naive_convolution(base, xs, ys):
+    assert_products_convolve(base, xs, ys)
+
+
+@settings(deadline=None)
+@given(bases, dense_maps, st.integers(min_value=0, max_value=12))
+def test_dense_powers_match_repeated_convolution(base, xs, exponent):
+    assert_power_convolves(base, xs, exponent)
 
 
 def test_dense_examples_pack_and_cancel():
@@ -545,3 +557,68 @@ def test_sparse_operands_never_pack(monkeypatch):
     assert (far + eps) * (h + 1) == hr({100001: 1, 100000: 1, 0: 1, -1: 1})
     wide, narrow = far + h + 1, far - h + 1  # enough terms to pack, but too wide a span
     assert dict((wide * narrow).terms) == convolve_terms(list(wide.terms.items()), list(narrow.terms.items()))
+
+
+# Dense operands whose exponents share a stride pack one digit per stride
+# step, and a product packs at the gcd of its operands' strides.
+strided_maps = st.tuples(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=1, max_value=7),
+    st.booleans().flatmap(lambda integral: st.lists(_coefficients(integral), max_size=8)),
+).map(lambda spec: {spec[0] + spec[1] * k: coeff for k, coeff in enumerate(spec[2])})
+
+
+@settings(deadline=None)
+@given(bases, strided_maps, strided_maps)
+def test_strided_products_match_the_naive_convolution(base, xs, ys):
+    assert_products_convolve(base, xs, ys)
+
+
+@settings(deadline=None)
+@given(bases, strided_maps, st.integers(min_value=0, max_value=12))
+def test_strided_powers_match_repeated_convolution(base, xs, exponent):
+    assert_power_convolves(base, xs, exponent)
+
+
+def test_strided_operands_pack_one_digit_per_step(monkeypatch):
+    packed, pack = [], hyperreal._pack
+
+    def record(digits, width):
+        packed.append(len(digits))
+        return pack(digits, width)
+
+    monkeypatch.setattr(hyperreal, "_pack", record)
+    h, eps = Hyperreal.generator(10), Hyperreal.epsilon(10)
+    binomial = F(3, 7) * h**3 - F(5, 4) * eps**3  # stride 6
+    expected = repeated_convolution(binomial, 32)
+    assert packed == []
+    assert dict((binomial**32).terms) == expected
+    assert packed == [2]
+    packed.clear()
+    x, y = hr({1 + 4 * k: k + 1 for k in range(5)}), hr({0: 1, 6: -1})  # strides 4 and 6 pack at 2
+    assert dict((x * y).terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
+    assert packed == [9, 4]
+
+
+# A power of a monomial is built in closed form, not by products.
+@pytest.mark.parametrize("exp", [-3, -1, 0, 1, 4])
+@pytest.mark.parametrize("coeff", [1, -1, 7, F(-3, 2), F(5, 9)])
+def test_monomial_powers_equal_repeated_products(coeff, exp):
+    x = Hyperreal.monomial(10, coeff, exp)
+    product = Hyperreal.one(10)
+    for k in range(13):
+        power = x**k
+        assert_normal_form(power)
+        assert power == product and dict(power.terms) == {exp * k: F(coeff) ** k}
+        product = product * x
+    with pytest.raises(ValueError):
+        x**-1
+
+
+def test_zero_powers_are_unchanged():
+    zero = Hyperreal.zero(10)
+    assert zero**0 == Hyperreal.one(10)
+    for k in range(1, 13):
+        assert zero**k == zero and not (zero**k).terms
+    with pytest.raises(ValueError):
+        zero**-1
