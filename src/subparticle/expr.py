@@ -24,13 +24,15 @@ power can still take long.  Nesting of ``(``, ``st(`` and unary ``-``
 deeper than ``MAX_DEPTH`` is a parse error too, so no input exhausts the
 stack; chains of ``+ - *`` are walked in a loop and are bounded only by
 the input's length.
+
+Parsing is per token and per node, so both are kept cheap: tokens are
+plain ``(kind, text, offset)`` tuples, read by position, and tree nodes
+are slotted dataclasses, not frozen ones.
 """
 
 from __future__ import annotations
 
-import operator
 import re
-from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -78,12 +80,20 @@ class NodeKind(Enum):
     PAREN = "Paren"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+# The kinds as module names: reading a member off an Enum class goes through
+# the metaclass's attribute hook (Python 3.11), a cost paid per node.
+_INT_LIT, _RAT_LIT, _EPS, _GEN, _NEG, _ADD, _SUB, _MUL, _POW, _ST, _PAREN = NodeKind
+
+
+@dataclass(eq=False, repr=False, slots=True)
 class ExprAst:
     """Parse tree node; ``value`` holds the int payload for IntLit and the
     exponent for Pow, a Fraction for RatLit.  Source spans are carried for
     error reporting but ignored by structural equality.  ``==``, ``hash``
-    and ``repr`` walk the tree in a loop, so a tree of any depth has them."""
+    and ``repr`` walk the tree in a loop, so a tree of any depth has them.
+    A tree is built once by the parser and never changed: nodes are slotted
+    rather than frozen, since a frozen node costs about three times as much
+    to build."""
 
     kind: NodeKind
     children: tuple["ExprAst", ...] = ()
@@ -119,52 +129,50 @@ class ExprAst:
         return "".join(parts)
 
 
-_Token = namedtuple("_Token", "kind text offset")  # kind: "int", "name", "eof", or the punctuation character
-
 # Each match is a token, a run of whitespace (no group: skipped) or one other
 # character, which no token may hold; the last is the empty match at \Z.
 _SCANNER = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[-+*^/()])|[ \t\r\n]+|(?P<eof>\Z)|(?P<bad>.)")
 
 # The left-associative binary operators by token: precedence level (higher
 # binds tighter) and node kind.
-_BINARY = {"+": (0, NodeKind.ADD), "-": (0, NodeKind.SUB), "*": (1, NodeKind.MUL)}
+_BINARY = {"+": (0, _ADD), "-": (0, _SUB), "*": (1, _MUL)}
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Tokens as ``(kind, text, offset)``; kind is "int", "name", "eof" or the
+    punctuation character."""
     tokens = []
     for match in _SCANNER.finditer(text):
         kind = match.lastgroup
         if kind == "bad":
             raise ParseError(f"unexpected character {match[0]!r}", match.start())
         if kind:
-            tokens.append(_Token(match[0] if kind == "punct" else kind, match[0], match.start()))
+            token = match[0]
+            tokens.append((token if kind == "punct" else kind, token, match.start()))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token list: each method reads
+    ``self.tokens[self.pos]`` and steps ``self.pos`` itself.  A node's span
+    is ``(offset, length)``, from its first token to the end of its last."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def expect(self, kind: str, message: str) -> tuple[str, str, int]:
         token = self.tokens[self.pos]
+        if token[0] != kind:
+            raise ParseError(message, token[2])
         self.pos += 1
         return token
 
-    def expect(self, kind: str, message: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(message, token.offset)
-        return self.advance()
-
-    def nested(self, parse_inner, token: _Token) -> ExprAst:
-        """``parse_inner()`` one nesting level below ``token``."""
+    def nested(self, parse_inner, offset: int) -> ExprAst:
+        """``parse_inner()`` one nesting level below the token at ``offset``."""
         if self.depth == MAX_DEPTH:
-            raise ParseError(f"nesting exceeds the limit of {MAX_DEPTH}", token.offset)
+            raise ParseError(f"nesting exceeds the limit of {MAX_DEPTH}", offset)
         self.depth += 1
         node = parse_inner()
         self.depth -= 1
@@ -172,109 +180,92 @@ class _Parser:
 
     def parse(self) -> ExprAst:
         node = self.expr()
-        token = self.peek()
-        if token.kind != "eof":
-            raise ParseError(f"unexpected token {token.text!r}", token.offset)
+        kind, text, offset = self.tokens[self.pos]
+        if kind != "eof":
+            raise ParseError(f"unexpected token {text!r}", offset)
         return node
 
     def expr(self, level: int = 0) -> ExprAst:
         """Factors joined by the operators of ``level`` or tighter, grouped to the
         left; each right operand is an expr of the next tighter level."""
         node = self.factor()
-        while (op := _BINARY.get(self.peek().kind)) and op[0] >= level:
-            self.advance()
+        tokens = self.tokens
+        while (op := _BINARY.get(tokens[self.pos][0])) and op[0] >= level:
+            self.pos += 1
             right = self.expr(op[0] + 1)
-            node = ExprAst(op[1], (node, right), span=_join(node.span, right.span))
+            start, (offset, length) = node.span[0], right.span
+            node = ExprAst(op[1], (node, right), None, (start, offset + length - start))
         return node
 
     def factor(self) -> ExprAst:
-        token = self.peek()
-        if token.kind == "-":
-            self.advance()
-            child = self.nested(self.factor, token)
-            return ExprAst(NodeKind.NEG, (child,), span=_join((token.offset, 1), child.span))
+        tokens = self.tokens
+        kind, _, start = tokens[self.pos]
+        if kind == "-":
+            self.pos += 1
+            child = self.nested(self.factor, start)
+            offset, length = child.span
+            return ExprAst(_NEG, (child,), None, (start, offset + length - start))
         node = self.primary()
-        if self.peek().kind == "^":
-            self.advance()
+        if tokens[self.pos][0] == "^":
+            self.pos += 1
             sign = 1
-            if self.peek().kind == "-":
-                self.advance()
+            if tokens[self.pos][0] == "-":
+                self.pos += 1
                 sign = -1
-            exp_token = self.expect("int", "expected integer exponent after '^'")
-            digits = exp_token.text.lstrip("0") or "0"
+            _, text, offset = self.expect("int", "expected integer exponent after '^'")
+            digits = text.lstrip("0") or "0"
             if len(digits) > _MAX_EXPONENT_DIGITS or int(digits) > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", exp_token.offset)
-            node = ExprAst(
-                NodeKind.POW,
-                (node,),
-                value=sign * int(digits),
-                span=_join(node.span, (exp_token.offset, len(exp_token.text))),
-            )
+                raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", offset)
+            start = node.span[0]
+            node = ExprAst(_POW, (node,), sign * int(digits), (start, offset + len(text) - start))
         return node
 
     def primary(self) -> ExprAst:
-        token = self.peek()
-        if token.kind == "int":
-            self.advance()
-            if self.peek().kind == "/":
-                self.advance()
-                den = self.expect("int", "expected integer denominator after '/'")
-                denominator = parse_decimal(den.text)
+        kind, text, start = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "int":
+            if self.tokens[self.pos][0] == "/":
+                self.pos += 1
+                _, den, offset = self.expect("int", "expected integer denominator after '/'")
+                denominator = parse_decimal(den)
                 if denominator == 0:
-                    raise ParseError("malformed rational: denominator must be positive", den.offset)
-                return ExprAst(
-                    NodeKind.RAT_LIT,
-                    value=Fraction(parse_decimal(token.text), denominator),
-                    span=(token.offset, den.offset + len(den.text) - token.offset),
-                )
-            return ExprAst(
-                NodeKind.INT_LIT, value=parse_decimal(token.text), span=(token.offset, len(token.text))
-            )
-        if token.kind == "name":
-            if token.text == "eps":
-                self.advance()
-                return ExprAst(NodeKind.EPS, span=(token.offset, 3))
-            if token.text == "H":
-                self.advance()
-                return ExprAst(NodeKind.GEN, span=(token.offset, 1))
-            if token.text == "st":
-                self.advance()
+                    raise ParseError("malformed rational: denominator must be positive", offset)
+                value = Fraction(parse_decimal(text), denominator)
+                return ExprAst(_RAT_LIT, (), value, (start, offset + len(den) - start))
+            return ExprAst(_INT_LIT, (), parse_decimal(text), (start, len(text)))
+        if kind == "name":
+            if text == "eps":
+                return ExprAst(_EPS, (), None, (start, 3))
+            if text == "H":
+                return ExprAst(_GEN, (), None, (start, 1))
+            if text == "st":
                 self.expect("(", "expected '(' after 'st'")
-                inner = self.nested(self.expr, token)
-                close = self.expect(")", "expected ')'")
-                return ExprAst(NodeKind.ST, (inner,), span=(token.offset, close.offset + 1 - token.offset))
-            raise ParseError(f"unknown name {token.text!r}", token.offset)
-        if token.kind == "(":
-            self.advance()
-            inner = self.nested(self.expr, token)
-            close = self.expect(")", "expected ')'")
-            return ExprAst(NodeKind.PAREN, (inner,), span=(token.offset, close.offset + 1 - token.offset))
-        if token.kind == "eof":
-            raise ParseError("unexpected end of input", token.offset)
-        raise ParseError(f"unexpected token {token.text!r}", token.offset)
+                inner = self.nested(self.expr, start)
+                close = self.expect(")", "expected ')'")[2]
+                return ExprAst(_ST, (inner,), None, (start, close + 1 - start))
+            raise ParseError(f"unknown name {text!r}", start)
+        if kind == "(":
+            inner = self.nested(self.expr, start)
+            close = self.expect(")", "expected ')'")[2]
+            return ExprAst(_PAREN, (inner,), None, (start, close + 1 - start))
+        if kind == "eof":
+            raise ParseError("unexpected end of input", start)
+        raise ParseError(f"unexpected token {text!r}", start)
 
 
-# The left-associative binary operators: their source text and value.
-_CHAIN_OPS = {
-    NodeKind.ADD: (" + ", operator.add),
-    NodeKind.SUB: (" - ", operator.sub),
-    NodeKind.MUL: ("*", operator.mul),
-}
+# The left-associative binary operators: their source text.
+_CHAIN_TEXT = {_ADD: " + ", _SUB: " - ", _MUL: "*"}
 
 
 def _chain(node: ExprAst) -> tuple[ExprAst, list[tuple[NodeKind, ExprAst]]]:
     """The leftmost operand below a chain of ``+ - *`` nodes, and each
     node's kind and right operand in source order, found in a loop."""
     links = []
-    while node.kind in _CHAIN_OPS:
-        links.append((node.kind, node.children[1]))
+    while (kind := node.kind) is _ADD or kind is _SUB or kind is _MUL:
+        links.append((kind, node.children[1]))
         node = node.children[0]
     links.reverse()
     return node, links
-
-
-def _join(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
-    return (left[0], right[0] + right[1] - left[0])
 
 
 def parse(text: str) -> ExprAst:
@@ -285,34 +276,35 @@ def parse(text: str) -> ExprAst:
 def eval_ast(ast: ExprAst, base: int):
     """Evaluate exactly; a root St node yields a Fraction, anything else a
     Hyperreal of the given base."""
-    if ast.kind is NodeKind.ST:
+    if ast.kind is _ST:
         return _eval(ast.children[0], base).st()
     return _eval(ast, base)
 
 
 def _eval(node: ExprAst, base: int) -> Hyperreal:
     kind = node.kind
-    if kind is NodeKind.INT_LIT or kind is NodeKind.RAT_LIT:
+    if kind is _INT_LIT or kind is _RAT_LIT:
         return Hyperreal.from_rational(base, node.value)
-    if kind is NodeKind.EPS:
+    if kind is _EPS:
         return Hyperreal.epsilon(base)
-    if kind is NodeKind.GEN:
+    if kind is _GEN:
         return Hyperreal.generator(base)
-    if kind is NodeKind.NEG:
+    if kind is _NEG:
         return -_eval(node.children[0], base)
-    if kind in _CHAIN_OPS:
+    if kind is _ADD or kind is _SUB or kind is _MUL:
         first, links = _chain(node)
         value = _eval(first, base)
         for op, right in links:
-            value = _CHAIN_OPS[op][1](value, _eval(right, base))
+            right = _eval(right, base)
+            value = value + right if op is _ADD else value - right if op is _SUB else value * right
         return value
-    if kind is NodeKind.POW:
+    if kind is _POW:
         body = _eval(node.children[0], base)
         exponent = node.value
         if exponent >= 0:
             return body ** exponent
         child = node.children[0]
-        allowed = child.kind in (NodeKind.EPS, NodeKind.GEN, NodeKind.PAREN)
+        allowed = child.kind in (_EPS, _GEN, _PAREN)
         if not allowed or not body.is_monomial():
             raise EvalError(
                 "negative exponent requires a monomial body (eps, H, or a parenthesized monomial)",
@@ -320,9 +312,9 @@ def _eval(node: ExprAst, base: int) -> Hyperreal:
             )
         ((exp, coeff),) = body.terms.items()
         return Hyperreal.monomial(base, coeff ** exponent, exp * exponent)
-    if kind is NodeKind.ST:
+    if kind is _ST:
         return Hyperreal.from_rational(base, _eval(node.children[0], base).st())
-    if kind is NodeKind.PAREN:
+    if kind is _PAREN:
         return _eval(node.children[0], base)
     raise AssertionError(f"unhandled node kind {kind!r}")
 
@@ -330,23 +322,23 @@ def _eval(node: ExprAst, base: int) -> Hyperreal:
 def pretty(ast: ExprAst) -> str:
     """Render a tree back to source form; reparsing rebuilds an identical tree."""
     kind = ast.kind
-    if kind is NodeKind.INT_LIT:
+    if kind is _INT_LIT:
         return to_decimal(ast.value)
-    if kind is NodeKind.RAT_LIT:
+    if kind is _RAT_LIT:
         return f"{to_decimal(ast.value.numerator)}/{to_decimal(ast.value.denominator)}"
-    if kind is NodeKind.EPS:
+    if kind is _EPS:
         return "eps"
-    if kind is NodeKind.GEN:
+    if kind is _GEN:
         return "H"
-    if kind is NodeKind.NEG:
+    if kind is _NEG:
         return "-" + pretty(ast.children[0])
-    if kind in _CHAIN_OPS:
+    if kind in _CHAIN_TEXT:
         first, links = _chain(ast)
-        return pretty(first) + "".join(_CHAIN_OPS[op][0] + pretty(right) for op, right in links)
-    if kind is NodeKind.POW:
+        return pretty(first) + "".join(_CHAIN_TEXT[op] + pretty(right) for op, right in links)
+    if kind is _POW:
         return f"{pretty(ast.children[0])}^{ast.value}"
-    if kind is NodeKind.ST:
+    if kind is _ST:
         return f"st({pretty(ast.children[0])})"
-    if kind is NodeKind.PAREN:
+    if kind is _PAREN:
         return f"({pretty(ast.children[0])})"
     raise AssertionError(f"unhandled node kind {kind!r}")

@@ -110,11 +110,13 @@ class Config:
             raise ValueError("config must be a JSON object")
         if unknown := set(data) - set(_CONFIG_KEYS):
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-        if cls is Config and [type(data.get(key)) for key in _CONFIG_KEYS] == [int, int, str, int, str]:
-            return _config_memo(*[data[key] for key in _CONFIG_KEYS])  # exact types: True and 1.0 miss 1
+        settings = (_CONFIG_DEFAULTS | data).values()  # in _CONFIG_KEYS order, a missing key at its default
+        if cls is Config and list(map(type, settings)) == [int, int, str, int, str]:
+            return _config_memo(*settings)  # exact types: True and 1.0 miss 1
         return cls(**data)
 
 
+_CONFIG_DEFAULTS = {key: getattr(Config, key) for key in _CONFIG_KEYS}
 _config_memo = lru_cache(maxsize=64)(Config)
 
 

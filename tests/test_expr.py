@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from subparticle import expr
 from subparticle.expr import (
+    MAX_DEPTH,
     MAX_EXPONENT,
     EvalError,
     NodeKind,
@@ -159,6 +160,48 @@ def test_exponent_at_the_limit_parses():
     assert eval_ast(parse(f"eps^-{MAX_EXPONENT}"), 10) == Hyperreal.monomial(10, 1, MAX_EXPONENT)
 
 
+# Spans: every node's span is the source of that node, from its first token
+# to the end of its last.  Sources grow outwards from an atom: each round
+# joins the source so far ({0}) to up to two more atoms ({1}), then nests it
+# one level deeper, at most MAX_DEPTH times, so every source parses.
+SPAN_ATOMS = st.sampled_from(["0", "7", "007", "3/4", "12 / 5", "eps", "H", "H^2", "eps ^ -3", "2^0"])
+SPAN_JOINS = st.sampled_from(["{0} + {1}", "{1}-{0}", "{0} * {1}", "{1}*{0}", "{0}\t-\n{1}"])
+SPAN_NESTING = st.sampled_from(["({0})", "st( {0} )", "-{0}", "( {0} )^2"])
+
+
+@st.composite
+def spanned_sources(draw):
+    text = draw(SPAN_ATOMS)
+    for _ in range(draw(st.integers(0, MAX_DEPTH))):
+        for join in draw(st.lists(SPAN_JOINS, max_size=2)):
+            text = join.format(text, draw(SPAN_ATOMS))
+        text = draw(SPAN_NESTING).format(text)
+    return text
+
+
+def assert_each_span_reparses_to_its_node(text):
+    stack = [parse(text)]
+    while stack:
+        node = stack.pop()
+        offset, length = node.span
+        reparsed = parse(text[offset : offset + length])
+        assert reparsed == node and reparsed.span == (0, length)
+        stack.extend(node.children)
+
+
+@pytest.mark.parametrize("source", [source for source, _ in GOLDEN])
+def test_golden_spans_reparse_to_their_nodes(source):
+    assert_each_span_reparses_to_its_node(source)
+
+
+@settings(max_examples=50, deadline=None)  # a deep source reparses hundreds of spans
+@given(spanned_sources())
+@example("(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH)
+@example("st( " * 50 + "-" * 49 + "(H^2 - 3/4)^2" + " )" * 50)
+def test_spans_reparse_to_their_nodes(text):
+    assert_each_span_reparses_to_its_node(text)
+
+
 # Token soups: every token the grammar knows, some it refuses, and exponent
 # literals of 2 or below, so that no tree that parses takes long to evaluate.
 # Half are loose soups, half are nested in the grammar's shape, so that many
@@ -203,7 +246,7 @@ SCANNER_TEXTS = st.lists(st.sampled_from([*"019azAZ+-*^/() \t\r\n", *LOOK_ALIKES
 
 def _library_tokens(text):
     try:
-        return [(token.kind, token.text, token.offset) for token in expr._tokenize(text)]
+        return [(kind, token, offset) for kind, token, offset in expr._tokenize(text)]
     except ParseError as exc:
         return exc.message, exc.offset
 

@@ -77,6 +77,9 @@ class TestConfig:
         text = run_pipeline("ab", Config.from_dict(data)).to_json()
         assert Ledger.from_json(text).config is Ledger.from_json(text).config
 
+    def test_configs_built_from_flags_are_shared(self):
+        assert Config.from_dict({}) is Config.from_dict({"base": 10})  # spc encode with no --config and no flags
+
     @pytest.mark.parametrize("key", ["base", "dims", "alphabet", "bundle_coordinate", "quality_signs"])
     @pytest.mark.parametrize("bad", [[1], {"a": 1}, True, 10.0, 3.0, None])
     def test_inexact_settings_are_ledger_errors_after_a_good_parse(self, key, bad, tmp_path, capsys):
