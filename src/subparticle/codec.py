@@ -15,14 +15,14 @@ is a plain L-digit base-A number, so decoding first finds L and then splits
 that number into digits.
 
 For 2 <= A <= 36 the leaves convert in C: a word translates to the digits
-``0-9a-z`` that ``int`` reads, and a code spells three symbols at a time.
+``0-9a-z`` that ``int`` reads, and a code's leaves are packed into one
+integer and divided into digits all at once (see ``_unpacked``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import product
 
 from . import radix
 
@@ -47,6 +47,7 @@ class Alphabet:
     _scaled_log: int = field(init=False, repr=False, compare=False)  # see _length
     _members: dict = field(init=False, repr=False, compare=False)  # translate() deletes each symbol
     _digits: dict | None = field(init=False, repr=False, compare=False)  # symbol -> digit d - 1, A <= 36
+    _spelling: dict | None = field(init=False, repr=False, compare=False)  # digit d - 1 -> symbol, A <= 36
 
     def __post_init__(self):
         if not isinstance(self.symbols, str) or not self.symbols:
@@ -59,6 +60,7 @@ class Alphabet:
         object.__setattr__(self, "_members", str.maketrans("", "", self.symbols))
         fast = 2 <= len(values) <= len(_DIGITS)
         object.__setattr__(self, "_digits", str.maketrans(self.symbols, _DIGITS[:len(values)]) if fast else None)
+        object.__setattr__(self, "_spelling", dict(enumerate(self.symbols)) if fast else None)
 
     @property
     def size(self) -> int:
@@ -120,12 +122,11 @@ def decode(code: int, alphabet: Alphabet | None = None) -> str:
     rest = code - (power - 1) // (size - 1)  # code - R_L, an L-digit base-A number
     if length <= LEAF:
         return _spell(rest, length, symbols)
-    chunks = radix.split(rest, size**LEAF, radix.levels_for(length, LEAF))
-    # For A <= 36, spell a leaf three symbols per division and cut the zeros
-    # that lead its top group.
-    digits = symbols if alpha._digits is None else _triples(symbols)
-    groups = -(-LEAF // len(digits[0]))
-    text = "".join([_spell(chunk, groups, digits)[-LEAF:] for chunk in chunks])
+    if alpha._spelling is None:  # A > 36: one division per symbol at the leaves
+        chunks = radix.split(rest, size**LEAF, radix.levels_for(length, LEAF))
+        text = "".join([_spell(chunk, LEAF, symbols) for chunk in chunks])
+    else:
+        text = _unpacked(rest, length, size).translate(alpha._spelling)
     return text[len(text) - length:]
 
 
@@ -142,24 +143,49 @@ def _horner(digits, size: int) -> int:
     return n
 
 
-def _spell(n: int, width: int, digits) -> str:
-    """The ``width`` base-B digits of ``0 <= n < B**width``, with ``B =
-    len(digits)`` and digit d written as ``digits[d]``: one symbol each, or
-    three for ``digits = _triples(symbols)``."""
-    size = len(digits)
+def _spell(n: int, width: int, symbols: str) -> str:
+    """The ``width`` base-A digits of ``0 <= n < A**width``, with ``A =
+    len(symbols)`` and digit d written as ``symbols[d]``."""
+    size = len(symbols)
     out = []
     for _ in range(width):
         n, digit = divmod(n, size)
-        out.append(digits[digit])
+        out.append(symbols[digit])
     out.reverse()
     return "".join(out)
 
 
+def _unpacked(rest: int, length: int, size: int) -> str:
+    """The digits of ``0 <= rest < A**length``, A <= 36, as ``chr(0)`` to
+    ``chr(A - 1)``, led by zeros to whole leaves: the leaves, rounded up to a
+    power of two, are packed at 16 bits per symbol and halved all at once."""
+    leaf = 1 << (LEAF - 1).bit_length()
+    chunks = radix.split(rest, size**leaf, radix.levels_for(length, leaf))
+    packed = int.from_bytes(b"".join([chunk.to_bytes(2 * leaf, "big") for chunk in chunks]), "big")
+    for shift, magic, divisor, mask, half in _halvings(size, leaf, len(chunks)):
+        high = ((packed * magic) >> shift) & mask
+        packed = (high << half) | (packed - high * divisor)
+    return packed.to_bytes(2 * leaf * len(chunks), "big")[1::2].decode("latin-1")
+
+
+# An entry's masks take 2 bytes per symbol and halving, ~12 per decoded symbol.
 @lru_cache(maxsize=4)
-def _triples(symbols: str) -> tuple[str, ...]:
-    """All ``A**3`` three-symbol strings, in the order of their base-A value;
-    built on the first decode longer than a leaf."""
-    return tuple(map("".join, product(symbols, repeat=3)))
+def _halvings(size: int, h: int, count: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """``(s, m, d, mask, 8h)`` to halve ``count`` fields of h digits, 16h bits
+    wide, for h = leaf, ..., 2: ``(x * m) >> s == x // d`` for ``x < A**h``,
+    ``d = A**(h/2)``, ``s = bitlen(A**h - 1) + bitlen(d)`` and ``m = ceil(2**s
+    / d)`` (Granlund and Montgomery).  Both ``x * m`` and ``2**(s + bitlen(d))``
+    are at most ``2**(2 * bitlen(A**h - 1) + 2)``, which is at most ``2**(16h)``
+    for A <= 36, so no field carries into the quotient bits of another."""
+    steps = []
+    while h > 1:
+        divisor = size ** (h // 2)
+        low = divisor.bit_length()
+        shift = (size**h - 1).bit_length() + low
+        mask = int.from_bytes(((1 << low) - 1).to_bytes(2 * h, "big") * count, "big")
+        steps.append((shift, -(-(1 << shift) // divisor), divisor, mask, 8 * h))
+        h, count = h // 2, count * 2
+    return tuple(steps)
 
 
 # ``pipeline._decoded``, which ``recompute_decoded`` and ``verify_ledger``

@@ -38,7 +38,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .hyperreal import Hyperreal
-from .radix import parse_decimal, to_decimal
+from .radix import decimal_value, to_decimal
 
 
 MAX_EXPONENT = 100_000
@@ -227,12 +227,12 @@ class _Parser:
             if self.tokens[self.pos][0] == "/":
                 self.pos += 1
                 _, den, offset = self.expect("int", "expected integer denominator after '/'")
-                denominator = parse_decimal(den)
+                denominator = decimal_value(den)
                 if denominator == 0:
                     raise ParseError("malformed rational: denominator must be positive", offset)
-                value = Fraction(parse_decimal(text), denominator)
+                value = Fraction(decimal_value(text), denominator)
                 return ExprAst(_RAT_LIT, (), value, (start, offset + len(den) - start))
-            return ExprAst(_INT_LIT, (), parse_decimal(text), (start, len(text)))
+            return ExprAst(_INT_LIT, (), decimal_value(text), (start, len(text)))
         if kind == "name":
             if text == "eps":
                 return ExprAst(_EPS, (), None, (start, 3))

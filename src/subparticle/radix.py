@@ -157,6 +157,12 @@ def parse_decimal(text, signed: bool = False, canonical: bool = False) -> int:
     ``is_decimal(text, signed, canonical)``."""
     if not is_decimal(text, signed, canonical):
         raise ValueError(f"not a decimal string: {brief(text)}")
+    return decimal_value(text)
+
+
+def decimal_value(text: str) -> int:
+    """The integer of a string that ``is_decimal`` accepts, which the caller
+    has checked, at any length."""
     if len(text) <= DECIMAL_LEAF:
         return int(text)
     if text[0] == "-":

@@ -1,6 +1,7 @@
 """Codec tests: bijective base-A numeration against a shortlex oracle."""
 
 import random
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -191,7 +192,7 @@ TRICKY = "9_+- A5Z0Ωzbcdefghijklmnopqrstuvwxy18"
 TRICKY_SIZES = (2, 3, 10, 27, 36, 37)
 
 
-# Every remainder of the leaf size mod 3, the symbols per decoding division.
+# Leaves on both sides of a power of two, which decoding rounds its fields up to.
 @pytest.mark.parametrize("leaf", [LEAF - 1, LEAF, LEAF + 1])
 @settings(max_examples=40, deadline=None)
 @given(
@@ -218,3 +219,38 @@ def test_symbol_that_int_would_read_is_not_in_the_alphabet(bad, position):
     with pytest.raises(SymbolNotInAlphabetError) as info:
         encode(word, alphabet)
     assert (info.value.position, info.value.symbol) == (position, bad)
+
+
+# Lengths on both sides of 1 to 16 leaves, and alphabets of every size the
+# packed decoding kernel takes, in ASCII and in latin-1, BMP and astral
+# symbols.  Words of the first or the last symbol only hold 0 or A**h - 1 in
+# every field at every halving, the largest products included.
+KERNEL_LENGTHS = [LEAF * 2**k + d for k in range(5) for d in (-1, 0, 1)]
+NON_ASCII = "é\U0001F600" + "".join(map(chr, range(0x3A9, 0x3A9 + 34)))
+
+
+@pytest.mark.parametrize("symbols", [SYMBOLS[:36], NON_ASCII])
+@pytest.mark.parametrize("size", range(2, 37))
+def test_packed_kernel_matches_loop_reference(size, symbols):
+    alphabet = Alphabet(symbols[:size])
+    rng = random.Random(size)
+    for length in KERNEL_LENGTHS:
+        for word in (alphabet.symbols[0] * length, alphabet.symbols[-1] * length,
+                     "".join(rng.choices(alphabet.symbols, k=length))):
+            code = encode(word, alphabet)
+            assert decode(code, alphabet) == loop_decode(code, alphabet.symbols) == word
+
+
+def test_decoding_a_long_word_builds_no_large_table():
+    alphabet = Alphabet("".join(map(chr, range(0x400, 0x424))))  # 36 symbols no other test uses
+    word = "".join(random.Random(36).choices(alphabet.symbols, k=2000))
+    code = encode(word, alphabet)
+    codec._halvings.cache_clear()  # the kernel's constants are built inside the measurement
+    tracemalloc.start()
+    try:
+        assert decode(code, alphabet) == word
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert codec._halvings.cache_info().maxsize is not None

@@ -153,6 +153,13 @@ def test_exponent_above_the_limit_is_a_parse_error_at_its_token(source, offset):
     assert info.value.message == f"exponent exceeds the limit of {MAX_EXPONENT}"
 
 
+def test_literals_past_the_int_str_limit_evaluate_exactly():
+    nines = "9" * 5000  # int() of a str stops at 4300 digits by default
+    assert eval_ast(parse(nines), 10) == Hyperreal.from_rational(10, 10**5000 - 1)
+    assert eval_ast(parse(f"st({nines}/{'7' * 5000})"), 10) == Fraction(9, 7)
+    assert eval_ast(parse(f"1{'0' * 4999}/{'3' * 5000} + eps"), 2).st() == Fraction(3 * 10**4999, 10**5000 - 1)
+
+
 def test_exponent_at_the_limit_parses():
     assert parse(f"H^{MAX_EXPONENT}").value == MAX_EXPONENT
     assert parse(f"eps^-{MAX_EXPONENT}").value == -MAX_EXPONENT
