@@ -12,7 +12,6 @@ from .engine import (
     InfiniteCoordinateError,
     IntermediateSubparticle,
     QualitySpec,
-    RealizationMap,
     RealizedVector,
     Ultrasubparticle,
     alternating_signs,
@@ -61,7 +60,6 @@ __all__ = [
     "ParseError",
     "QualitySpec",
     "Rational",
-    "RealizationMap",
     "RealizedVector",
     "SymbolNotInAlphabetError",
     "Ultrasubparticle",

@@ -14,6 +14,7 @@ one-shot translation on the two slots it moves, without building the map.
 Realization suppresses the first two slots and takes the standard part of
 each quality: the code on the bundled entry, and 0 on every other slot,
 the particle's own signed eps, so ``realize`` reads only the moved slots.
+A bare coordinate vector is realized as ``IntermediateSubparticle(base, coords)``.
 """
 
 from __future__ import annotations
@@ -55,10 +56,12 @@ def _check_coord(coord, dims: int) -> None:
 
 
 def _hyperreal_vector(base: int, entries, what: str, least: int = 3) -> tuple[Hyperreal, ...]:
-    """``entries`` as a tuple, checked to hold at least ``least`` Hyperreals of ``base``."""
+    """``entries`` as a tuple, checked to hold ``least`` to ``MAX_DIMS`` Hyperreals of ``base``."""
     entries = tuple(entries)
     if len(entries) < least:
         raise ValueError(f"{what} needs at least {least} coordinates")
+    if len(entries) > MAX_DIMS:
+        raise ValueError(f"{what} may have at most {MAX_DIMS} coordinates, got {len(entries)}")
     for entry in entries:
         if not isinstance(entry, Hyperreal):
             raise TypeError(f"entries of {what} must be Hyperreal, got {type(entry).__name__}")
@@ -161,35 +164,6 @@ class AffineMap:
 
 
 @dataclass(frozen=True)
-class RealizationMap:
-    """Diagonal operator matrix: standard part on every quality slot, zero on
-    the naming and count slots (which are never even inspected)."""
-
-    dims: int
-
-    def __post_init__(self):
-        _check_dims(self.dims)
-
-    def apply(self, coords) -> tuple[Fraction, ...]:
-        coords = tuple(coords)
-        if len(coords) != self.dims:
-            raise ValueError(f"dimension mismatch: map has {self.dims}, vector has {len(coords)}")
-        coords = _hyperreal_vector(getattr(coords[0], "base", None), coords, "a coordinate vector")
-        return _standard_parts(coords, range(2, self.dims))
-
-
-def _standard_parts(coords: tuple[Hyperreal, ...], slots) -> tuple[Fraction, ...]:
-    """The standard part of each entry of ``coords`` at ``slots``, and 0 at every other slot."""
-    realized = [_ZERO] * len(coords)
-    for index in slots:
-        try:
-            realized[index] = coords[index].st()
-        except InfiniteValueError:
-            raise InfiniteCoordinateError(index + 1) from None
-    return tuple(realized)
-
-
-@dataclass(frozen=True)
 class RealizedVector:
     """Exact rational output vector; the first two entries are always zero.
     This is the one check of the realized layout, ledgers included."""
@@ -203,6 +177,20 @@ class RealizedVector:
             raise ValueError("a realized vector needs at least 3 coordinates")
         if coords[0] != 0 or coords[1] != 0:
             raise ValueError("naming and count entries of a realized vector must be zero")
+
+
+def _realized(coords: tuple[Hyperreal, ...], slots) -> RealizedVector:
+    """The one builder of realized vectors: the standard part of each entry of ``coords`` at ``slots``
+    (never the naming or count slot), and 0 at every other slot, so its layout is not checked again."""
+    realized = [_ZERO] * len(coords)
+    for index in slots:
+        try:
+            realized[index] = coords[index].st()
+        except InfiniteValueError:
+            raise InfiniteCoordinateError(index + 1) from None
+    vector = object.__new__(RealizedVector)
+    vars(vector).update(coords=tuple(realized))
+    return vector
 
 
 @dataclass(frozen=True)
@@ -297,19 +285,20 @@ def bundle(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> Inter
 
 
 def realize(subparticle, particle: Ultrasubparticle | None = None) -> RealizedVector:
-    """Standard-part realization of a bundled coordinate vector.  Given the ``particle`` it was bundled from,
-    ``subparticle`` is its bare coordinates; a slot that is the particle's own object realizes to one shared 0,
-    and only the others get the checks of ``IntermediateSubparticle`` and ``RealizationMap``, in their order."""
+    """Standard-part realization of an ``IntermediateSubparticle``, which its constructor checked.  Given the
+    ``particle`` it was bundled from, ``subparticle`` is its bare coordinates: a slot that is the particle's own
+    object realizes to 0, only the others get the subparticle's checks, and another length is realized as one."""
     if particle is None:
-        return RealizedVector(RealizationMap(subparticle.dims).apply(subparticle.coords))
-    if len(coords := tuple(subparticle)) != particle.dims:
-        return realize(IntermediateSubparticle(particle.base, coords))
-    moved = [i for i, (entry, own) in enumerate(zip(coords, particle.coords())) if entry is not own]
-    _hyperreal_vector(particle.base, [coords[i] for i in moved], "an intermediate subparticle", least=0)
-    Hypernatural(coords[1])  # count slot must be natural-formed
-    vector = object.__new__(RealizedVector)  # zero naming and count slots by construction: not checked again
-    vars(vector).update(coords=_standard_parts(coords, [i for i in moved if i > 1]))
-    return vector
+        if not isinstance(subparticle, IntermediateSubparticle):
+            raise TypeError(f"realize needs an IntermediateSubparticle, got {type(subparticle).__name__}")
+    elif len(coords := tuple(subparticle)) != particle.dims:
+        subparticle = IntermediateSubparticle(particle.base, coords)
+    else:
+        moved = [i for i, (entry, own) in enumerate(zip(coords, particle.coords())) if entry is not own]
+        _hyperreal_vector(particle.base, [coords[i] for i in moved], "an intermediate subparticle", least=0)
+        Hypernatural(coords[1])  # count slot must be natural-formed
+        return _realized(coords, [i for i in moved if i > 1])
+    return _realized(subparticle.coords, range(2, subparticle.dims))
 
 
 def quality_bundle(particle: Ultrasubparticle, spec: QualitySpec) -> RealizedVector:
@@ -324,15 +313,11 @@ def quality_bundle(particle: Ultrasubparticle, spec: QualitySpec) -> RealizedVec
     for coord, _ in spec.entries:
         _check_coord(coord, particle.dims)
     counts = dict(spec.entries)  # a count of another base fails in its product below
-    source = particle.coords()
     zero = Hyperreal.zero(particle.base)
     scaled = [zero, zero]
-    for coord in range(3, particle.dims + 1):
-        entry = source[coord - 1]
+    for coord, entry in enumerate(particle.coords()[2:], start=3):
         if coord in counts:
             scaled.append(counts[coord].value * entry)
-        elif spec.tail_scale is not None:
-            scaled.append(entry.scale(spec.tail_scale))
         else:
-            scaled.append(zero)
-    return RealizedVector(RealizationMap(particle.dims).apply(scaled))
+            scaled.append(zero if spec.tail_scale is None else entry.scale(spec.tail_scale))
+    return _realized(scaled, [coord - 1 for coord in counts])

@@ -76,7 +76,7 @@ def _check_base(base) -> None:
 
 
 def _check_exponent(exp) -> None:
-    if not isinstance(exp, int):
+    if not isinstance(exp, int) or isinstance(exp, bool):
         raise TypeError(f"exponent must be an integer, got {exp!r}")
 
 
@@ -224,7 +224,7 @@ class Hyperreal:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative powers are not defined here; see monomial_div")

@@ -206,5 +206,5 @@ def brief(value) -> str:
 
 def check_natural(value, name: str) -> None:
     """The one check of a nonnegative integer argument such as a code."""
-    if not isinstance(value, int) or value < 0:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {brief(value)}")

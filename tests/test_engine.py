@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from subparticle.codec import DEFAULT_ALPHABET, Alphabet, decode, encode
 from subparticle.engine import (
+    MAX_DIMS,
     AffineMap,
     InfiniteCoordinateError,
     IntermediateSubparticle,
     QualitySpec,
-    RealizationMap,
     RealizedVector,
     Ultrasubparticle,
     alternating_signs,
@@ -267,34 +267,73 @@ class TestRealize:
         inter = IntermediateSubparticle(10, (hr({0: 123}), hr({1: 7}), hr({0: 7}), -eps()))
         assert realize(inter).coords == (F(0), F(0), F(7), F(0))
 
-
-class TestRealizationMap:
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            RealizationMap(4).apply((zero(), one(), eps()))
-
-    def test_every_quality_slot_is_checked(self):
-        g = Hyperreal.generator(10)
-        with pytest.raises(TypeError):
-            RealizationMap(4).apply((g, g, g, g), slots=[])
-        with pytest.raises(InfiniteCoordinateError) as info:
-            RealizationMap(4).apply((g, g, eps(), g))
-        assert info.value.index == 4
-
-    def test_entries_get_the_vector_checks(self):
-        with pytest.raises(TypeError, match="must be Hyperreal, got int"):
-            RealizationMap(3).apply([0, 0, 5])
-        with pytest.raises(TypeError, match="must be Hyperreal, got int"):
-            RealizationMap(3).apply([zero(), 0, eps()])
-        with pytest.raises(BaseMismatchError, match="has base 10, not 2"):
-            RealizationMap(3).apply([Hyperreal.zero(2), Hyperreal.zero(10), Hyperreal.epsilon(7) + 5])
-        assert RealizationMap(3).apply([Hyperreal.zero(7), Hyperreal.one(7), Hyperreal.epsilon(7) + 5]) == (0, 0, 5)
-
     def test_realized_vector_validates_suppressed_slots(self):
         with pytest.raises(ValueError):
             RealizedVector((F(1), F(0), F(0)))
         with pytest.raises(ValueError):
             RealizedVector((F(0), F(2), F(0)))
+
+    def test_bare_coordinates_need_their_particle(self):
+        with pytest.raises(TypeError, match="^realize needs an IntermediateSubparticle, got tuple$"):
+            realize((zero(), one(), eps()))
+        with pytest.raises(TypeError, match="got list$"):
+            realize([zero(), one(), eps()])
+
+
+class TestOneRealizationPath:
+    """``realize`` of an ``IntermediateSubparticle`` and ``realize(coords, particle)``
+    with coordinates of another length than the particle's take the same path:
+    the subparticle's checks, then the standard part of every quality slot."""
+
+    @staticmethod
+    def both_paths(coords):
+        # U4 has 4 coordinates, so a 3- or 5-coordinate vector is not its own
+        assert len(coords) != U4.dims
+        return (lambda: realize(IntermediateSubparticle(10, tuple(coords))), lambda: realize(coords, U4))
+
+    def test_infinite_quality_slot_is_reported_by_its_index(self):
+        g = Hyperreal.generator(10)
+        for coords in ((g, g, g), (g, g, eps(), zero(), g)):
+            for path in self.both_paths(coords):
+                with pytest.raises(InfiniteCoordinateError) as info:
+                    path()
+                assert info.value.index == len(coords)
+                assert str(info.value) == f"coordinate {len(coords)} is infinite and has no standard part"
+
+    def test_an_int_entry_is_a_type_error_naming_int(self):
+        for coords in ([0, 0, 5], [zero(), 0, eps()], [zero(), one(), eps(), eps(), 5]):
+            for path in self.both_paths(coords):
+                with pytest.raises(TypeError, match="^entries of an intermediate subparticle must be Hyperreal, got int$"):
+                    path()
+
+    def test_mixed_bases_are_refused(self):
+        with pytest.raises(BaseMismatchError, match="has base 10, not 2"):
+            realize(IntermediateSubparticle(2, (Hyperreal.zero(2), Hyperreal.zero(10), Hyperreal.epsilon(7) + 5)))
+        for path in self.both_paths([zero(), one(), eps(2)]):
+            with pytest.raises(BaseMismatchError, match="has base 2, not 10"):
+                path()
+        seven = (Hyperreal.zero(7), Hyperreal.one(7), Hyperreal.epsilon(7) + 5)
+        assert realize(IntermediateSubparticle(7, seven)).coords == (0, 0, 5)
+
+    def test_naming_and_count_slots_are_never_inspected(self, monkeypatch):
+        st_, seen = Hyperreal.st, []
+
+        def recording_st(self):
+            seen.append(self)
+            return st_(self)
+
+        monkeypatch.setattr(Hyperreal, "st", recording_st)
+        naming, count = Hyperreal.generator(10), hr({2: 3, 0: 1})  # both infinite
+        qualities = (hr({0: 5, -1: 2}), -eps(), hr({0: F(-1, 3)}))
+        for path in self.both_paths((naming, count) + qualities):
+            seen.clear()
+            assert path().coords == (0, 0, 5, 0, F(-1, 3))
+            assert [id(entry) for entry in seen] == [id(entry) for entry in qualities]
+
+    def test_too_many_coordinates_are_refused_before_realizing(self):
+        coords = (zero(), one()) + (eps(),) * (MAX_DIMS - 1)
+        with pytest.raises(ValueError, match=f"^an intermediate subparticle may have at most {MAX_DIMS} coordinates, got {MAX_DIMS + 1}$"):
+            realize(coords, U4)
 
 
 class TestQualityBundle:
@@ -418,11 +457,11 @@ class TestOneTranslationForEveryCount:
 
 
 @st.composite
-def particles_and_coords(draw):
-    """A particle of base 2 or 10 with 3..12 coordinates, random signs and
-    naming, and any of its quality coordinates."""
+def particles_and_coords(draw, max_dims=12):
+    """A particle of base 2 or 10 with 3..``max_dims`` coordinates, random signs
+    and naming, and any of its quality coordinates."""
     base = draw(st.sampled_from((2, 10)))
-    dims = draw(st.integers(min_value=3, max_value=12))
+    dims = draw(st.integers(min_value=3, max_value=max_dims))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=dims - 2, max_size=dims - 2))
     naming = draw(st.integers(min_value=0, max_value=10**12))
     particle = Ultrasubparticle(base, dims, naming=naming, signs=tuple(signs))
@@ -456,3 +495,29 @@ def test_bundle_of_count_zero_zeroes_its_two_slots_and_keeps_the_rest(particle_a
     got = bundle(particle, coord, lambda_for_code(0, particle.base)).coords
     assert got[1].is_zero() and got[coord - 1].is_zero()
     assert all(got[i] is particle.coords()[i] for i in range(particle.dims) if i not in (1, coord - 1))
+
+
+def realized_or_index(call):
+    """The realized coordinates of ``call()``, or the 1-based index of the infinite slot it reports."""
+    try:
+        return call().coords
+    except InfiniteCoordinateError as exc:
+        return exc.index
+
+
+@settings(deadline=None)
+@given(particles_and_coords(max_dims=40), st.data())
+def test_every_realization_path_agrees(particle_and_coord, data):
+    particle, coord = particle_and_coord
+    count = data.draw(st.just(lambda_for_code(0, particle.base)) | counts(particle.base))
+    tail_scale = data.draw(st.integers(min_value=0, max_value=1000))
+    bundled = bundle(particle, coord, count)
+    got = [
+        realized_or_index(lambda: realize(bundled)),
+        realized_or_index(lambda: realize(bundled.coords, particle)),
+        realized_or_index(lambda: quality_bundle(particle, QualitySpec(((coord, count),)))),
+        realized_or_index(lambda: quality_bundle(particle, QualitySpec(((coord, count),), tail_scale=tail_scale))),
+    ]
+    assert got[1:] == got[:-1]
+    assert got[0] == coord or got[0][coord - 1] * particle.sign(coord) == count.value.terms.get(1, 0)
+    assert got[0] == coord or not any(got[0][:coord - 1] + got[0][coord:])

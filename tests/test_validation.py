@@ -13,6 +13,8 @@ from subparticle.cli import main
 from subparticle.codec import Alphabet, decode, word_length
 from subparticle.engine import (
     MAX_DIMS,
+    AffineMap,
+    IntermediateSubparticle,
     QualitySpec,
     RealizedVector,
     Ultrasubparticle,
@@ -69,6 +71,13 @@ LIBRARY_ONLY = [
     (lambda: decode(-1), "code must be a nonnegative integer, got -1"),
     (lambda: word_length(-1), "code must be a nonnegative integer, got -1"),
     (lambda: RealizedVector((0, 0)), "a realized vector needs at least 3 coordinates"),
+    # a bool is not a natural, though it is an int
+    (lambda: decode(True), "code must be a nonnegative integer, got True"),
+    (lambda: word_length(False), "code must be a nonnegative integer, got False"),
+    (lambda: lambda_for_code(True, 10), "code must be a nonnegative integer, got True"),
+    (lambda: Hypernatural.from_int(True, 10), "n must be a nonnegative integer, got True"),
+    (lambda: Ultrasubparticle(10, 4, naming=False), "naming must be a nonnegative integer, got False"),
+    (lambda: QualitySpec(entries=(), tail_scale=True), "tail_scale must be a nonnegative integer, got True"),
 ]
 
 # The same, for values of a type the library refuses with a TypeError.
@@ -78,6 +87,11 @@ LIBRARY_ONLY_TYPES = [
      "times must be an int, Hypernatural, or Hyperreal, got float"),
     (lambda: apply_translation_times(make_translation(PARTICLE, 3), PARTICLE.coords(), Fraction(1)),
      "times must be an int, Hypernatural, or Hyperreal, got Fraction"),
+    # a bool is not an exponent, though it is an int
+    (lambda: Hyperreal.monomial(10, 1, True), "exponent must be an integer, got True"),
+    (lambda: Hyperreal(10, {False: 1}), "exponent must be an integer, got False"),
+    (lambda: Hyperreal.one(10).monomial_div(1, True), "exponent must be an integer, got True"),
+    (lambda: Hyperreal.generator(10) ** True, "unsupported operand type(s) for ** or pow(): 'Hyperreal' and 'bool'"),
 ]
 
 # Each text below is the message of one concept's check and is written once.
@@ -88,6 +102,7 @@ ONE_SITE = [
     "must be a nonnegative integer",
     "quality coordinate must be in 3..",
     "naming and count entries",
+    "may have at most",
 ]
 
 
@@ -214,3 +229,17 @@ def test_quality_spec_coordinates_are_checked_against_the_dims_limit():
     QualitySpec(entries=((MAX_DIMS, lambda_for_code(1, 10)),))
     with pytest.raises(IndexError):
         QualitySpec(entries=((MAX_DIMS + 1, lambda_for_code(1, 10)),))
+
+
+BOUNDED_VECTORS = [
+    lambda n: IntermediateSubparticle(10, (Hyperreal.zero(10),) * n),
+    lambda n: AffineMap(10, (Hyperreal.zero(10),) * n),
+    lambda n: apply_translation_times(make_translation(Ultrasubparticle(10, MAX_DIMS), 3), (Hyperreal.zero(10),) * n, 1),
+]
+
+
+@pytest.mark.parametrize("build", BOUNDED_VECTORS, ids=["IntermediateSubparticle", "AffineMap", "apply_translation_times"])
+def test_vectors_are_refused_past_the_dims_limit(build):
+    build(MAX_DIMS)
+    message = short_refusal(lambda: build(MAX_DIMS + 1))
+    assert message.endswith(f" may have at most {MAX_DIMS} coordinates, got {MAX_DIMS + 1}")
