@@ -199,7 +199,7 @@ class QualitySpec:
 
     ``tail_scale``, when given, multiplies the remaining quality coordinates
     by a small natural instead of dropping them to zero; either way they
-    stay infinitesimal and realize to 0.
+    stay infinitesimal and realize to 0, so the result is the same.
     """
 
     entries: tuple[tuple[int, Hypernatural], ...]
@@ -253,7 +253,7 @@ def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, 
         raise ValueError(f"dimension mismatch: map has {step.dims}, vector has {len(coords)}")
     if isinstance(times, Hypernatural):
         times = times.value
-    elif isinstance(times, int):
+    elif isinstance(times, int) and not isinstance(times, bool):
         times = Hyperreal.from_rational(step.base, times)
     if not isinstance(times, Hyperreal):
         raise TypeError(f"times must be an int, Hypernatural, or Hyperreal, got {type(times).__name__}")
@@ -304,20 +304,16 @@ def realize(subparticle, particle: Ultrasubparticle | None = None) -> RealizedVe
 def quality_bundle(particle: Ultrasubparticle, spec: QualitySpec) -> RealizedVector:
     """Bundle several qualities at once through a diagonal map, then realize.
 
-    Each listed quality coordinate is scaled by its count; the remaining
-    quality coordinates are scaled by ``tail_scale`` when given and dropped
-    to zero otherwise.  Both choices yield the same realized vector, since a
-    finitely scaled eps is still infinitesimal.  The first two diagonal
-    entries are zero, so naming and count never reach the output.
+    Each listed quality coordinate is scaled by its count.  The remaining
+    quality coordinates realize to 0 whether ``tail_scale`` scales them or
+    they are dropped, since a finitely scaled eps is still infinitesimal, so
+    they are not built and the result is the same either way.  The first two
+    diagonal entries are zero, so naming and count never reach the output.
     """
     for coord, _ in spec.entries:
         _check_coord(coord, particle.dims)
     counts = dict(spec.entries)  # a count of another base fails in its product below
-    zero = Hyperreal.zero(particle.base)
-    scaled = [zero, zero]
-    for coord, entry in enumerate(particle.coords()[2:], start=3):
-        if coord in counts:
-            scaled.append(counts[coord].value * entry)
-        else:
-            scaled.append(zero if spec.tail_scale is None else entry.scale(spec.tail_scale))
+    scaled = list(particle.coords())
+    for coord in sorted(counts):
+        scaled[coord - 1] = counts[coord].value * scaled[coord - 1]
     return _realized(scaled, [coord - 1 for coord in counts])

@@ -20,10 +20,16 @@ squares.  There is no general division; ``/`` only forms rational literals
 such as ``3/4``.  An exponent above ``MAX_EXPONENT`` in magnitude is a
 parse error, found from the token's length before it is converted.  That
 bounds the exponent, not the work: a many-term base raised to an allowed
-power can still take long.  Nesting of ``(``, ``st(`` and unary ``-``
-deeper than ``MAX_DEPTH`` is a parse error too, so no input exhausts the
-stack; chains of ``+ - *`` are walked in a loop and are bounded only by
-the input's length.
+power can still take long, except under ``st`` as below.  Nesting of
+``(``, ``st(`` and unary ``-`` deeper than ``MAX_DEPTH`` is a parse error
+too, so no input exhausts the stack; chains of ``+ - *`` are walked in a
+loop and are bounded only by the input's length.
+
+On finite values ``st`` is a ring homomorphism.  So an ``st`` argument that
+is finite on its face, with no ``H`` and no negative exponent outside its
+nested ``st``, is evaluated on standard parts alone: Fractions, with
+``eps`` as 0, and no Hyperreal built.  Any other is evaluated in full.  The
+shape decides before any arithmetic, so every node is evaluated once.
 
 Parsing is per token and per node, so both are kept cheap: tokens are
 plain ``(kind, text, offset)`` tuples, read by position, and tree nodes
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .hyperreal import Hyperreal
+from .hyperreal import _ZERO, Hyperreal
 from .radix import decimal_value, to_decimal
 
 
@@ -277,29 +283,54 @@ def eval_ast(ast: ExprAst, base: int):
     """Evaluate exactly; a root St node yields a Fraction, anything else a
     Hyperreal of the given base."""
     if ast.kind is _ST:
-        return _eval(ast.children[0], base).st()
+        return _standard_part(ast.children[0], base)
     return _eval(ast, base)
 
 
-def _eval(node: ExprAst, base: int) -> Hyperreal:
+def _finite_on_its_face(node: ExprAst) -> bool:
+    """Whether the tree, outside its St nodes, holds no ``H`` and no negative
+    exponent, so that its value is finite: found from its shape alone."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        kind = node.kind
+        if kind is _GEN or kind is _POW and node.value < 0:
+            return False
+        if kind is not _ST:
+            stack.extend(node.children)
+    return True
+
+
+def _standard_part(node: ExprAst, base: int) -> Fraction:
+    """``st`` of the tree's value, on standard parts alone if it is finite on its face."""
+    if _finite_on_its_face(node):
+        return _eval(node, base, True)
+    return _eval(node, base).st()
+
+
+def _eval(node: ExprAst, base: int, standard: bool = False) -> Hyperreal | Fraction:
+    """The tree's Hyperreal value or, when ``standard``, the Fraction of its
+    standard part; the latter is asked only of trees finite on their face."""
     kind = node.kind
     if kind is _INT_LIT or kind is _RAT_LIT:
+        if standard:
+            return node.value if kind is _RAT_LIT else Fraction(node.value)
         return Hyperreal.from_rational(base, node.value)
     if kind is _EPS:
-        return Hyperreal.epsilon(base)
+        return _ZERO if standard else Hyperreal.epsilon(base)
     if kind is _GEN:
         return Hyperreal.generator(base)
     if kind is _NEG:
-        return -_eval(node.children[0], base)
+        return -_eval(node.children[0], base, standard)
     if kind is _ADD or kind is _SUB or kind is _MUL:
         first, links = _chain(node)
-        value = _eval(first, base)
+        value = _eval(first, base, standard)
         for op, right in links:
-            right = _eval(right, base)
+            right = _eval(right, base, standard)
             value = value + right if op is _ADD else value - right if op is _SUB else value * right
         return value
     if kind is _POW:
-        body = _eval(node.children[0], base)
+        body = _eval(node.children[0], base, standard)
         exponent = node.value
         if exponent >= 0:
             return body ** exponent
@@ -313,9 +344,10 @@ def _eval(node: ExprAst, base: int) -> Hyperreal:
         ((exp, coeff),) = body.terms.items()
         return Hyperreal.monomial(base, coeff ** exponent, exp * exponent)
     if kind is _ST:
-        return Hyperreal.from_rational(base, _eval(node.children[0], base).st())
+        value = _standard_part(node.children[0], base)
+        return value if standard else Hyperreal.from_rational(base, value)
     if kind is _PAREN:
-        return _eval(node.children[0], base)
+        return _eval(node.children[0], base, standard)
     raise AssertionError(f"unhandled node kind {kind!r}")
 
 

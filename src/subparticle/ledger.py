@@ -35,7 +35,7 @@ from operator import is_
 from .codec import DEFAULT_ALPHABET, Alphabet
 from .engine import RealizedVector, Ultrasubparticle, _check_coord
 from .hyperreal import _ZERO, Hypernatural, Hyperreal, _trusted
-from .radix import brief, parse_decimal, parse_rational, rational_to_decimal, to_decimal
+from .radix import brief, check_natural, parse_decimal, parse_rational, rational_to_decimal, to_decimal
 
 LEDGER_VERSION = "1"
 
@@ -148,6 +148,7 @@ class Ledger:
 
     def to_json(self) -> str:
         """The document, written field by field in format v1's layout."""
+        check_natural(self.code, "code")
         config, count, code = self.config, self.count, to_decimal(self.code)
         infinite, degenerate = ("true" if flag else "false" for flag in (count.is_infinite, count.is_degenerate))
         ultra, intermediate, realized = config.table

@@ -363,6 +363,19 @@ class TestQualityBundle:
         scaled = quality_bundle(self.make_particle(), self.spec_for(5, 6, 7, tail_scale=3))
         assert plain == scaled
 
+    def test_tail_scale_builds_no_more_products(self, monkeypatch):
+        particle = Ultrasubparticle(10, MAX_DIMS)
+        multiply, products = Hyperreal.__mul__, []
+        monkeypatch.setattr(Hyperreal, "__mul__", lambda self, other: products.append(other) or multiply(self, other))
+
+        def products_for(tail_scale):
+            products.clear()
+            got = quality_bundle(particle, QualitySpec(((5, lambda_for_code(7, 10)),), tail_scale))
+            assert got.coords[4] == 7 and not any(got.coords[:4] + got.coords[5:])
+            return len(products)
+
+        assert products_for(3) == products_for(None) == 1
+
     def test_duplicate_coordinate_rejected(self):
         with pytest.raises(ValueError):
             QualitySpec(entries=((3, lambda_for_code(1, 10)), (3, lambda_for_code(2, 10))))

@@ -243,6 +243,72 @@ def test_token_soups_give_a_value_or_a_documented_error(text, base):
     assert isinstance(value, (Fraction, Hyperreal))
 
 
+# st of a tree against the standard part of its full value: random trees over
+# literals, eps, H, + - *, small exponents of either sign, unary minus,
+# parens and nested st.  A value, or the same error at the same place.
+DIFF_ATOMS = st.sampled_from(["0", "1", "2", "7", "3/4", "5/2", "eps", "H"])
+DIFF_TREES = st.recursive(DIFF_ATOMS, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+    st.tuples(DIFF_ATOMS | inner.map("({})".format), st.integers(-2, 3)).map("{0[0]}^{0[1]}".format),
+    inner.map("({})".format),
+    inner.map("st({})".format),
+    inner.map("-{}".format),
+), max_leaves=10)
+
+
+def _value_or_error(call, shift=0):
+    """The value of ``call()``, or its error: type, message and offset moved by ``shift``."""
+    try:
+        return call()
+    except EvalError as exc:
+        return EvalError, exc.message, exc.offset + shift
+    except InfiniteValueError as exc:
+        return InfiniteValueError, str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(DIFF_TREES, st.sampled_from([2, 10]))
+@example("H*eps", 10)
+@example("(H+1)*eps", 10)
+@example("1 + st(H)", 10)
+@example("(1+eps)^-1", 10)
+@example("(2)^-1 + eps", 10)
+@example("eps^0", 10)
+@example("0^0", 10)
+def test_st_equals_the_standard_part_of_the_full_value(text, base):
+    def full():
+        value = eval_ast(parse(text), base)
+        return value if isinstance(value, Fraction) else value.st()
+
+    got = _value_or_error(lambda: eval_ast(parse(f"st({text})"), base))
+    assert got == _value_or_error(full, shift=len("st("))
+    assert isinstance(got, (Fraction, tuple))
+
+
+@pytest.fixture
+def power_calls(monkeypatch):
+    calls = {Hyperreal: 0, Fraction: 0}
+    for cls in calls:
+        def counted(value, exponent, cls=cls, power=cls.__pow__):
+            calls[cls] += 1
+            return power(value, exponent)
+
+        monkeypatch.setattr(cls, "__pow__", counted)
+    return calls
+
+
+def test_each_power_under_nested_st_runs_once(power_calls):
+    outer = MAX_DEPTH - 2  # st levels around the innermost st, whose argument holds a paren
+    text = "st(2^1*" * outer + "st((H + 1)^2*eps*eps)" + ")" * outer
+    assert eval_ast(parse(text), 10) == 2**outer
+    assert power_calls == {Hyperreal: 1, Fraction: outer}
+
+
+def test_st_of_a_finite_power_builds_no_hyperreal_power(power_calls):
+    assert eval_ast(parse(f"st((1+eps)^{MAX_EXPONENT})"), 10) == 1
+    assert power_calls[Hyperreal] == 0
+
+
 # The scanner against the token rules, on token characters, the whitespace
 # that separates tokens and characters that look like one or the other:
 # other Unicode space, digits and letters, a lone surrogate.

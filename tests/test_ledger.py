@@ -406,6 +406,13 @@ def test_emitter_matches_json_dumps_on_every_ledger_shape():
         assert ledger.to_json() == json.dumps(ledger.to_dict(), indent=2)
 
 
+@pytest.mark.parametrize("code", [True, -1])
+def test_writer_refuses_a_code_that_is_not_natural(code):
+    ledger = dataclasses.replace(run_pipeline("a"), code=code)
+    with pytest.raises(ValueError, match=f"^code must be a nonnegative integer, got {code}$"):
+        ledger.to_json()
+
+
 def test_number_past_the_int_str_limit_is_a_malformed_ledger():
     text = run_pipeline("ab").to_json().replace('"version": "1"', '"version": ' + "1" * 5000)
     with pytest.raises(LedgerError, match="not valid JSON"):

@@ -87,6 +87,8 @@ LIBRARY_ONLY_TYPES = [
      "times must be an int, Hypernatural, or Hyperreal, got float"),
     (lambda: apply_translation_times(make_translation(PARTICLE, 3), PARTICLE.coords(), Fraction(1)),
      "times must be an int, Hypernatural, or Hyperreal, got Fraction"),
+    (lambda: apply_translation_times(make_translation(PARTICLE, 3), PARTICLE.coords(), True),
+     "times must be an int, Hypernatural, or Hyperreal, got bool"),
     # a bool is not an exponent, though it is an int
     (lambda: Hyperreal.monomial(10, 1, True), "exponent must be an integer, got True"),
     (lambda: Hyperreal(10, {False: 1}), "exponent must be an integer, got False"),
