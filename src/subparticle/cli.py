@@ -145,7 +145,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     config = _config_from_args(args)
-    words = _file(args.corpus, EXIT_INPUT_ERROR, "cannot read corpus").splitlines()
+    words = _file(args.corpus, EXIT_INPUT_ERROR, "cannot read corpus").split("\n")
+    if not words[-1]:  # the empty piece after the last line end, or the whole of an empty file
+        words.pop()
     failures = []
     for word in words:
         try:

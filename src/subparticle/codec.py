@@ -47,7 +47,6 @@ class Alphabet:
     _scaled_log: int = field(init=False, repr=False, compare=False)  # see _length
     _members: dict = field(init=False, repr=False, compare=False)  # translate() deletes each symbol
     _digits: dict | None = field(init=False, repr=False, compare=False)  # symbol -> digit d - 1, A <= 36
-    _spelling: dict | None = field(init=False, repr=False, compare=False)  # digit d - 1 -> symbol, A <= 36
 
     def __post_init__(self):
         if not isinstance(self.symbols, str) or not self.symbols:
@@ -60,7 +59,6 @@ class Alphabet:
         object.__setattr__(self, "_members", str.maketrans("", "", self.symbols))
         fast = 2 <= len(values) <= len(_DIGITS)
         object.__setattr__(self, "_digits", str.maketrans(self.symbols, _DIGITS[:len(values)]) if fast else None)
-        object.__setattr__(self, "_spelling", dict(enumerate(self.symbols)) if fast else None)
 
     @property
     def size(self) -> int:
@@ -122,11 +120,11 @@ def decode(code: int, alphabet: Alphabet | None = None) -> str:
     rest = code - (power - 1) // (size - 1)  # code - R_L, an L-digit base-A number
     if length <= LEAF:
         return _spell(rest, length, symbols)
-    if alpha._spelling is None:  # A > 36: one division per symbol at the leaves
+    if alpha._digits is None:  # A > 36: one division per symbol at the leaves
         chunks = radix.split(rest, size**LEAF, radix.levels_for(length, LEAF))
         text = "".join([_spell(chunk, LEAF, symbols) for chunk in chunks])
     else:
-        text = _unpacked(rest, length, size).translate(alpha._spelling)
+        text = _unpacked(rest, length, size).translate(symbols)  # chr(d) -> symbols[d]
     return text[len(text) - length:]
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .hyperreal import _ZERO, Hyperreal
+from .hyperreal import _ZERO, Hyperreal, _check_base
 from .radix import decimal_value, to_decimal
 
 
@@ -52,24 +52,23 @@ _MAX_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 MAX_DEPTH = 100
 
 
-class ParseError(ValueError):
+class _OffsetError(ValueError):
+    """An error at the 0-based character ``offset`` of the source."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.message = message
+        self.offset = offset
+
+
+class ParseError(_OffsetError):
     """Syntax error; ``offset`` is the 0-based index of the first offending
     character (equal to the input length for errors at end of input)."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(message)
-        self.message = message
-        self.offset = offset
 
-
-class EvalError(ValueError):
+class EvalError(_OffsetError):
     """A well-formed expression with no defined value, e.g. a negative power
     of a non-monomial."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(message)
-        self.message = message
-        self.offset = offset
 
 
 class NodeKind(Enum):
@@ -282,9 +281,8 @@ def parse(text: str) -> ExprAst:
 def eval_ast(ast: ExprAst, base: int):
     """Evaluate exactly; a root St node yields a Fraction, anything else a
     Hyperreal of the given base."""
-    if ast.kind is _ST:
-        return _standard_part(ast.children[0], base)
-    return _eval(ast, base)
+    _check_base(base)
+    return _eval(ast, base, ast.kind is _ST)
 
 
 def _finite_on_its_face(node: ExprAst) -> bool:
@@ -299,13 +297,6 @@ def _finite_on_its_face(node: ExprAst) -> bool:
         if kind is not _ST:
             stack.extend(node.children)
     return True
-
-
-def _standard_part(node: ExprAst, base: int) -> Fraction:
-    """``st`` of the tree's value, on standard parts alone if it is finite on its face."""
-    if _finite_on_its_face(node):
-        return _eval(node, base, True)
-    return _eval(node, base).st()
 
 
 def _eval(node: ExprAst, base: int, standard: bool = False) -> Hyperreal | Fraction:
@@ -330,21 +321,17 @@ def _eval(node: ExprAst, base: int, standard: bool = False) -> Hyperreal | Fract
             value = value + right if op is _ADD else value - right if op is _SUB else value * right
         return value
     if kind is _POW:
-        body = _eval(node.children[0], base, standard)
-        exponent = node.value
-        if exponent >= 0:
-            return body ** exponent
         child = node.children[0]
-        allowed = child.kind in (_EPS, _GEN, _PAREN)
-        if not allowed or not body.is_monomial():
+        body = _eval(child, base, standard)
+        if node.value < 0 and (child.kind not in (_EPS, _GEN, _PAREN) or not body.is_monomial()):
             raise EvalError(
                 "negative exponent requires a monomial body (eps, H, or a parenthesized monomial)",
                 node.span[0],
             )
-        ((exp, coeff),) = body.terms.items()
-        return Hyperreal.monomial(base, coeff ** exponent, exp * exponent)
-    if kind is _ST:
-        value = _standard_part(node.children[0], base)
+        return body ** node.value
+    if kind is _ST:  # on standard parts alone if the argument is finite on its face
+        child = node.children[0]
+        value = _eval(child, base, True) if _finite_on_its_face(child) else _eval(child, base).st()
         return value if standard else Hyperreal.from_rational(base, value)
     if kind is _PAREN:
         return _eval(node.children[0], base, standard)

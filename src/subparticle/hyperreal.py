@@ -9,19 +9,21 @@ products, scaling, division by a monomial, and the standard part.
 
 ``omega`` itself is never a value; only powers of ``H`` are represented,
 and nothing implemented here depends on which infinite ``omega`` is meant.
-General division is deliberately absent: ``monomial_div`` covers the only
-divisions that ever occur.  All values are immutable and all operations
-are pure, so instances may be shared freely between threads.  A value's
-wire form, its ``[exponent, numerator, denominator]`` triples, belongs to
-ledger format v1, so ``ledger.py`` alone writes and reads it.
+General division is deliberately absent: ``**`` takes a negative exponent
+on a monomial alone, and ``monomial_div`` multiplies by one such power.
+All values are immutable and all operations are pure, so instances may be
+shared freely between threads.  A value's wire form, its
+``[exponent, numerator, denominator]`` triples, belongs to ledger format
+v1, so ``ledger.py`` alone writes and reads it.
 
-Monomial powers are closed form, ``(c*H**e)**k = c**k * H**(e*k)``.  Dense
-products and powers (exponent span below ``_DENSE_SPAN`` times the term
-count) pack each operand over its common denominator into one int, one
-fixed-width digit per stride step (the gcd of the exponent gaps), and take
-one int product or power (Kronecker substitution; Harvey, arXiv:0712.4046).
-A packed int is at most a small constant times the bit size of the cleared
-operands plus the result.  Other products loop over the terms; all agree.
+Monomial powers are closed form for every integer k, negative ones too:
+``(c*H**e)**k = c**k * H**(e*k)``.  Dense products and powers (exponent
+span below ``_DENSE_SPAN`` times the term count) pack each operand over
+its common denominator into one int, one fixed-width digit per stride
+step (the gcd of the exponent gaps), and take one int product or power
+(Kronecker substitution; Harvey, arXiv:0712.4046).  A packed int is at
+most a small constant times the bit size of the cleared operands plus the
+result.  Other products loop over the terms; all agree.
 """
 
 from __future__ import annotations
@@ -226,10 +228,10 @@ class Hyperreal:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative powers are not defined here; see monomial_div")
-        if len(self._terms) == 1:  # a monomial: (c*H^e)^k = c^k * H^(e*k)
+        if len(self._terms) == 1:  # a monomial: (c*H^e)^k = c^k * H^(e*k), for every integer k
             return _trusted(self._base, {exp * exponent: coeff**exponent for exp, coeff in self._terms.items()})
+        if exponent < 0:
+            raise ValueError("a negative power is defined only on a monomial")
         if exponent >= 2 and _dense(self._terms):
             return _trusted(self._base, _packed_power(self._terms, exponent))
         result, square = Hyperreal.one(self._base), self
@@ -247,11 +249,9 @@ class Hyperreal:
 
     def monomial_div(self, divisor: RationalLike, exp: int) -> "Hyperreal":
         """Exact division by the single monomial ``divisor * H**exp``."""
-        d = _as_fraction(divisor)
-        if not d:
+        if not _as_fraction(divisor):
             raise ZeroDivisionError("division by a zero monomial coefficient")
-        _check_exponent(exp)
-        return _trusted(self._base, {e - exp: c / d for e, c in self._terms.items()})
+        return self * Hyperreal.monomial(self._base, divisor, exp) ** -1
 
     # -- standard part and classification ------------------------------
 

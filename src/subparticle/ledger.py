@@ -203,10 +203,29 @@ class Ledger:
     @classmethod
     def from_json(cls, text: str) -> "Ledger":
         try:
-            data = json.loads(text)
+            data = _DECODER.decode(text)
+        except LedgerError:  # a repeated key
+            raise
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, a number past the int-str limit, deep nesting
             raise LedgerError(f"not valid JSON: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members, refusing a repeated key: ``json.loads`` would keep the last value, and a
+    ledger that also holds another is not evidence of either."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise LedgerError(f"repeated key {brief(key)}")
+            seen.add(key)
+    return data
+
+
+# Built once: json.loads(text, object_pairs_hook=...) builds a decoder per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def _hyperreal_json(value: Hyperreal) -> str:

@@ -330,6 +330,24 @@ class TestEval:
         assert code == 2
         assert "error at column 1" in err
 
+    @pytest.mark.parametrize(
+        "expr, output",
+        [
+            ("(2*H)^-2", "1/4*eps^2 (Infinitesimal, st=0)"),
+            ("eps^-3", "H^3 (Infinite)"),
+            ("st((2)^-1 + eps)", "1/2"),
+        ],
+    )
+    def test_negative_powers_of_monomials(self, capsys, expr, output):
+        assert run(capsys, "eval", expr) == (0, output + "\n", "")
+
+    @pytest.mark.parametrize("expr", ["(1+eps)^-1", "2^-1"])
+    def test_negative_power_of_another_body_is_an_input_error(self, capsys, expr):
+        code, out, err = run(capsys, "eval", expr)
+        assert (code, out) == (2, "")
+        message = "negative exponent requires a monomial body (eps, H, or a parenthesized monomial)"
+        assert err.splitlines() == [f"error at column 1: {message}", f"  {expr}", "  ^"]
+
     def test_big_power_prints_exactly(self, capsys):
         code, out, err = run(capsys, "eval", "2^20000")
         assert (code, err) == (0, "")
@@ -392,6 +410,19 @@ class TestRoundtrip:
         code, out, _ = run(capsys, "roundtrip", "--corpus", str(corpus))
         assert code == 0
         assert out.strip() == "0/0 ok"
+
+    # str.splitlines would also end a line at these, and check "a", "b" and "ab".
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028"])
+    def test_only_a_line_end_ends_a_word(self, capsys, tmp_path, separator):
+        corpus = self.write_corpus(tmp_path, [f"a{separator}b", "ab"])
+        code, out, _ = run(capsys, "roundtrip", "--corpus", str(corpus), "--alphabet", "ab" + separator)
+        assert (code, out) == (0, "2/2 ok\n")
+
+    def test_cr_and_crlf_end_lines_and_a_blank_line_is_the_empty_word(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"ab\r\nba\rab\n\nb")
+        code, out, _ = run(capsys, "roundtrip", "--corpus", str(corpus), "--alphabet", "ab")
+        assert (code, out) == (0, "5/5 ok\n")
 
     def test_missing_corpus(self, capsys):
         code, _, err = run(capsys, "roundtrip", "--corpus", "/nonexistent.txt")

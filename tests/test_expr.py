@@ -112,6 +112,13 @@ class TestEval:
     def test_base_parameter_is_respected(self):
         assert eval_ast(parse("H"), 2).base == 2
 
+    # A root st over a finite argument builds no Hyperreal, and still checks its base.
+    @pytest.mark.parametrize("source", ["st(1+eps)", "1+eps"])
+    @pytest.mark.parametrize("base", [1, 0, True, "x", 2.0])
+    def test_every_tree_checks_its_base(self, source, base):
+        with pytest.raises(ValueError, match="^base must be an integer >= 2, got "):
+            eval_ast(parse(source), base)
+
     @pytest.mark.parametrize("source, offset", EVAL_ERRORS)
     def test_negative_power_of_non_monomial(self, source, offset):
         with pytest.raises(EvalError) as info:

@@ -611,8 +611,43 @@ def test_monomial_powers_equal_repeated_products(coeff, exp):
         assert_normal_form(power)
         assert power == product and dict(power.terms) == {exp * k: F(coeff) ** k}
         product = product * x
-    with pytest.raises(ValueError):
-        x**-1
+    assert x**-1 == Hyperreal.monomial(10, 1 / F(coeff), -exp) and x * x**-1 == Hyperreal.one(10)
+
+
+nonzero_fractions = small_fractions.filter(bool)
+
+
+@given(nonzero_fractions, st.integers(min_value=-5, max_value=5), st.integers(min_value=-12, max_value=12))
+def test_monomial_powers_are_closed_form_for_every_integer(coeff, exp, k):
+    x = Hyperreal.monomial(10, coeff, exp)
+    assert_normal_form(x**k)
+    assert x**k == Hyperreal.monomial(10, coeff**k, exp * k)
+    assert x**k * x**-k == Hyperreal.one(10)
+
+
+@given(operand_pairs, st.integers(min_value=-9, max_value=9).filter(bool) | nonzero_fractions,
+       st.integers(min_value=-4, max_value=4))
+def test_monomial_div_is_the_term_by_term_quotient(pair, divisor, exp):
+    x, _ = pair
+    quotient = x.monomial_div(divisor, exp)
+    assert_normal_form(quotient)
+    assert dict(quotient.terms) == {e - exp: c / divisor for e, c in x.terms.items()}
+
+
+@pytest.mark.parametrize(
+    "divisor, exp, error, message",
+    [
+        (0, 1, ZeroDivisionError, "division by a zero monomial coefficient"),
+        (F(0), 0.5, ZeroDivisionError, "division by a zero monomial coefficient"),
+        (1, True, TypeError, "exponent must be an integer, got True"),
+        (1, 0.5, TypeError, "exponent must be an integer, got 0.5"),
+        (0.5, 1, TypeError, "expected an exact rational (int or Fraction), got float"),
+    ],
+)
+def test_monomial_div_keeps_its_errors(divisor, exp, error, message):
+    with pytest.raises(error) as info:
+        hr({0: 1, -1: 2}).monomial_div(divisor, exp)
+    assert str(info.value) == message
 
 
 def test_zero_powers_are_unchanged():

@@ -413,6 +413,29 @@ def test_writer_refuses_a_code_that_is_not_natural(code):
         ledger.to_json()
 
 
+# json.loads keeps the last of two equal keys, so a ledger holding both would
+# pass as evidence for one while it also claims the other.
+@pytest.mark.parametrize(
+    "field, repeated, key",
+    [
+        ('"word": "ab"', '"word": "zz",\n  "word": "ab"', "word"),
+        ('"base": 10', '"base": 10,\n    "base": 10', "base"),
+        ('"infinite": true', '"infinite": false,\n    "infinite": true', "infinite"),
+    ],
+    ids=["top level", "config", "lambda"],
+)
+def test_a_repeated_key_is_a_malformed_ledger(capsys, tmp_path, field, repeated, key):
+    text = run_pipeline("ab").to_json()
+    assert text.count(field) == 1
+    text = text.replace(field, repeated)
+    with pytest.raises(LedgerError, match=f"^repeated key '{key}'$"):
+        Ledger.from_json(text)
+    target = tmp_path / "ledger.json"
+    target.write_text(text, encoding="utf-8")
+    assert main(["realize", "--ledger", str(target)]) == 4
+    assert capsys.readouterr() == ("", f"malformed ledger: repeated key '{key}'\n")
+
+
 def test_number_past_the_int_str_limit_is_a_malformed_ledger():
     text = run_pipeline("ab").to_json().replace('"version": "1"', '"version": ' + "1" * 5000)
     with pytest.raises(LedgerError, match="not valid JSON"):
