@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -26,7 +25,7 @@ from pathlib import Path
 from .codec import SymbolNotInAlphabetError
 from .expr import EvalError, ParseError, eval_ast, parse
 from .hyperreal import Classification, InfiniteValueError, _check_base
-from .ledger import Config, Ledger, LedgerError
+from .ledger import _DECODER, Config, Ledger, LedgerError
 # recompute_decoded is not called here, but the benchmark's tracer
 # (bench/spans.py) wraps this module's name for it.
 from .pipeline import IntegrityError, recompute_decoded, run_pipeline, verify_ledger
@@ -98,7 +97,9 @@ def _config_from_args(args) -> Config:
         if args.config:
             text = _file(args.config, EXIT_CONFIG_ERROR, "config error: cannot read config file")
             try:
-                data = json.loads(text)
+                data = _DECODER.decode(text)
+            except LedgerError:  # a repeated key, named in the message
+                raise
             except (ValueError, RecursionError) as exc:  # JSONDecodeError, a number past the int-str limit, deep nesting
                 raise ValueError(f"config file is not valid JSON: {exc}") from exc
             if not isinstance(data, dict):

@@ -16,7 +16,9 @@ that number into digits.
 
 For 2 <= A <= 36 the leaves convert in C: a word translates to the digits
 ``0-9a-z`` that ``int`` reads, and a code's leaves are packed into one
-integer and divided into digits all at once (see ``_unpacked``).
+integer and divided into digits all at once (see ``_unpacked``).  Other
+alphabets encode by ``radix.join`` of the symbol values, which takes digits
+of any size, and decode by one division per symbol at the leaves.
 """
 
 from __future__ import annotations
@@ -84,11 +86,8 @@ def encode(word: str, alphabet: Alphabet | None = None) -> int:
         position = next(i for i, symbol in enumerate(word) if symbol not in values)
         raise SymbolNotInAlphabetError(word[position], position)
     size = alpha.size
-    if alpha._digits is None:  # A = 1 or A > 36: one multiply-add per symbol
-        digits = [values[symbol] for symbol in word]
-        if len(digits) <= LEAF:
-            return _horner(digits, size)
-        return radix.join(radix.leaves(digits, LEAF, lambda leaf: _horner(leaf, size)), size**LEAF)
+    if alpha._digits is None:  # A = 1 or A > 36: the symbol values are the digits
+        return radix.join([values[symbol] for symbol in word], size) if word else 0
     text = word.translate(alpha._digits)  # int() would also take "_", "+", "-", spaces and capitals
     if len(text) <= LEAF:
         return _read(text, size) if text else 0
@@ -132,13 +131,6 @@ def _read(piece: str, size: int) -> int:
     """Code of a translated nonempty piece of k symbols: its value as a
     base-A numeral plus ``R_k``, whose numeral is k ones."""
     return int(piece, size) + int("1" * len(piece), size)
-
-
-def _horner(digits, size: int) -> int:
-    n = 0
-    for d in digits:
-        n = n * size + d
-    return n
 
 
 def _spell(n: int, width: int, symbols: str) -> str:

@@ -9,8 +9,8 @@ and one signed infinitesimal ``eps = 1/B**omega`` per quality coordinate.
 Bundling a chosen quality with a hypernatural count leaves the count on
 the count slot and the count times that quality's signed eps on the
 quality, the closed form of count-fold iteration.  The affine translations
-below are the paper's construction of that form; ``bundle`` applies the
-one-shot translation on the two slots it moves, without building the map.
+below are the paper's construction of that form; ``bundle`` alone writes the
+one-shot translation, and ``make_lambda_translation`` reads it off ``bundle``.
 Realization suppresses the first two slots and takes the standard part of
 each quality: the code on the bundled entry, and 0 on every other slot,
 the particle's own signed eps, so ``realize`` reads only the moved slots.
@@ -55,13 +55,19 @@ def _check_coord(coord, dims: int) -> None:
         raise IndexError(f"quality coordinate must be in 3..{dims}, got {brief(coord)}")
 
 
-def _hyperreal_vector(base: int, entries, what: str, least: int = 3) -> tuple[Hyperreal, ...]:
-    """``entries`` as a tuple, checked to hold ``least`` to ``MAX_DIMS`` Hyperreals of ``base``."""
+def _sized(entries, what: str, least: int = 3) -> tuple:
+    """``entries`` as a tuple, checked to hold ``least`` to ``MAX_DIMS`` of them: the one length rule of a vector."""
     entries = tuple(entries)
     if len(entries) < least:
         raise ValueError(f"{what} needs at least {least} coordinates")
     if len(entries) > MAX_DIMS:
         raise ValueError(f"{what} may have at most {MAX_DIMS} coordinates, got {len(entries)}")
+    return entries
+
+
+def _hyperreal_vector(base: int, entries, what: str, least: int = 3) -> tuple[Hyperreal, ...]:
+    """``entries`` as a tuple, checked to hold ``least`` to ``MAX_DIMS`` Hyperreals of ``base``."""
+    entries = _sized(entries, what, least)
     for entry in entries:
         if not isinstance(entry, Hyperreal):
             raise TypeError(f"entries of {what} must be Hyperreal, got {type(entry).__name__}")
@@ -171,10 +177,8 @@ class RealizedVector:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = tuple(_as_fraction(entry) for entry in self.coords)
+        coords = tuple([_as_fraction(entry) for entry in _sized(self.coords, "a realized vector")])
         object.__setattr__(self, "coords", coords)
-        if len(coords) < 3:
-            raise ValueError("a realized vector needs at least 3 coordinates")
         if coords[0] != 0 or coords[1] != 0:
             raise ValueError("naming and count entries of a realized vector must be zero")
 
@@ -226,18 +230,14 @@ def make_translation(particle: Ultrasubparticle, coord: int) -> AffineMap:
 
 
 def make_lambda_translation(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> AffineMap:
-    """One-shot bundling translation for a count: ``count - 1`` on the count
-    slot and ``count - 1`` signed eps on ``coord``.  Applied once, it equals
-    count-1 applications of the single step.  A count of another base fails
-    in the product below."""
+    """One-shot bundling translation for a count: what ``bundle`` moves, slot
+    by slot, which is ``count - 1`` on the count slot and ``count - 1``
+    signed eps on ``coord``.  Applied once, it equals count-1 applications of
+    the single step.  ``bundle`` checks ``coord`` and the count's base."""
     if count.is_degenerate:
         raise ValueError("count must be at least 1")
-    particle.sign(coord)  # checks coord
-    delta = count.value - 1
-    translation = [Hyperreal.zero(particle.base)] * particle.dims
-    translation[1] = delta
-    translation[coord - 1] = delta * particle.coords()[coord - 1]
-    return AffineMap(particle.base, tuple(translation))
+    bundled = bundle(particle, coord, count).coords
+    return AffineMap(particle.base, tuple([moved - own for moved, own in zip(bundled, particle.coords())]))
 
 
 def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, ...]:
@@ -246,19 +246,16 @@ def apply_translation_times(step: AffineMap, coords, times) -> tuple[Hyperreal, 
     ``times`` may be an int, a Hypernatural, or any Hyperreal count (one-shot
     translations subtract 1 from possibly infinite counts, which leaves
     natural-number form); for finite times the closed form equals the literal
-    iteration exactly, and times 0 is the identity.
+    iteration exactly, and times 0 is the identity.  A count of another base
+    fails in the first product, as every product of two bases does.
     """
     coords = _hyperreal_vector(step.base, coords, "a coordinate vector")
     if len(coords) != step.dims:
         raise ValueError(f"dimension mismatch: map has {step.dims}, vector has {len(coords)}")
     if isinstance(times, Hypernatural):
         times = times.value
-    elif isinstance(times, int) and not isinstance(times, bool):
-        times = Hyperreal.from_rational(step.base, times)
-    if not isinstance(times, Hyperreal):
+    elif isinstance(times, bool) or not isinstance(times, (int, Hyperreal)):
         raise TypeError(f"times must be an int, Hypernatural, or Hyperreal, got {type(times).__name__}")
-    if times.base != step.base:
-        raise BaseMismatchError("times base differs from the map base")
     return tuple([entry + times * shift for entry, shift in zip(coords, step.translation)])
 
 
@@ -269,10 +266,10 @@ def bundle(particle: Ultrasubparticle, coord: int, count: Hypernatural) -> Inter
     moves: ``count - 1`` is added to the count slot and ``count - 1`` signed
     eps to coordinate ``coord``, which leaves ``count`` and
     ``count * (sign * eps)`` there, the closed form of the count-fold sum.
-    Every other coordinate is the particle's own.  The tests hold it to
-    ``make_lambda_translation`` applied once.  The degenerate count 0 (the
-    empty word's code) zeroes both slots.  A count of another base fails in
-    the first sum.
+    Every other coordinate is the particle's own.  This is the one place the
+    translation is written: ``make_lambda_translation`` reads it back from
+    here.  The degenerate count 0 (the empty word's code) zeroes both slots.
+    A count of another base fails in the first sum.
     """
     particle.sign(coord)  # checks coord
     delta = count.value - 1

@@ -44,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .hyperreal import _ZERO, Hyperreal, _check_base
-from .radix import decimal_value, to_decimal
+from .radix import brief, decimal_value, to_decimal
 
 
 MAX_EXPONENT = 100_000
@@ -187,7 +187,7 @@ class _Parser:
         node = self.expr()
         kind, text, offset = self.tokens[self.pos]
         if kind != "eof":
-            raise ParseError(f"unexpected token {text!r}", offset)
+            raise ParseError(f"unexpected token {brief(text)}", offset)
         return node
 
     def expr(self, level: int = 0) -> ExprAst:
@@ -248,14 +248,14 @@ class _Parser:
                 inner = self.nested(self.expr, start)
                 close = self.expect(")", "expected ')'")[2]
                 return ExprAst(_ST, (inner,), None, (start, close + 1 - start))
-            raise ParseError(f"unknown name {text!r}", start)
+            raise ParseError(f"unknown name {brief(text)}", start)
         if kind == "(":
             inner = self.nested(self.expr, start)
             close = self.expect(")", "expected ')'")[2]
             return ExprAst(_PAREN, (inner,), None, (start, close + 1 - start))
         if kind == "eof":
             raise ParseError("unexpected end of input", start)
-        raise ParseError(f"unexpected token {text!r}", start)
+        raise ParseError(f"unexpected token {brief(text)}", start)
 
 
 # The left-associative binary operators: their source text.

@@ -79,7 +79,7 @@ def _check_base(base) -> None:
 
 def _check_exponent(exp) -> None:
     if not isinstance(exp, int) or isinstance(exp, bool):
-        raise TypeError(f"exponent must be an integer, got {exp!r}")
+        raise TypeError(f"exponent must be an integer, got {brief(exp)}")
 
 
 class Hyperreal:
@@ -405,7 +405,7 @@ class Hypernatural:
 
     @property
     def is_infinite(self) -> bool:
-        return any(exp >= 1 for exp in self._value.terms)
+        return not self._value.is_finite()
 
     @property
     def is_degenerate(self) -> bool:

@@ -112,6 +112,12 @@ class TestEncode:
         assert err.startswith("config error: cannot read config file: 'utf-8' codec can't decode")
         assert err.count("\n") == 1
 
+    def test_config_file_with_a_repeated_key_is_a_config_error(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"base": 2, "base": 10}', encoding="utf-8")
+        code, out, err = run(capsys, "encode", "--word", "ab", "--config", str(config))
+        assert (code, out, err) == (3, "", "config error: repeated key 'base'\n")
+
     @pytest.mark.parametrize("text", ["[1]", '"x"', "null"])
     def test_config_file_must_hold_an_object(self, capsys, tmp_path, text):
         config = tmp_path / "config.json"

@@ -155,6 +155,24 @@ def test_unary_decode_matches_loop_reference(code):
     assert decode(code, alphabet_of(1)) == loop_decode(code, "a")
 
 
+# Alphabets that int() cannot read, whose symbol values radix.join takes as digits.
+JOINED_ALPHABETS = {size: Alphabet("".join(chr(0x100 + i) for i in range(size))) for size in (1, 37, 100, 300)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(JOINED_ALPHABETS)),
+    st.one_of(st.integers(min_value=0, max_value=3 * LEAF + 1), st.just(8000)),
+    st.randoms(use_true_random=False),
+)
+def test_encode_of_alphabets_past_36_symbols_or_of_one_matches_loop_reference(size, length, rng):
+    alphabet = JOINED_ALPHABETS[size]
+    word = "".join(rng.choices(alphabet.symbols, k=length))
+    code = encode(word, alphabet)
+    assert code == loop_encode(word, alphabet.symbols)
+    assert decode(code, alphabet) == word
+
+
 def test_symbol_index_takes_no_part_in_equality():
     alphabet = Alphabet("xyz")
     assert alphabet._values == {"x": 1, "y": 2, "z": 3}

@@ -498,7 +498,8 @@ def test_bundle_is_one_application_of_the_lambda_translation(particle_and_coord,
     particle, coord = particle_and_coord
     count = data.draw(counts(particle.base))
     got = bundle(particle, coord, count).coords
-    assert got == apply_translation_times(make_lambda_translation(particle, coord, count), particle.coords(), 1)
+    assert got[1] == count.value
+    assert got[coord - 1] == count.value * particle.coords()[coord - 1]
     assert all(got[i] is particle.coords()[i] for i in range(particle.dims) if i not in (1, coord - 1))
 
 

@@ -160,6 +160,21 @@ def test_exponent_above_the_limit_is_a_parse_error_at_its_token(source, offset):
     assert info.value.message == f"exponent exceeds the limit of {MAX_EXPONENT}"
 
 
+@pytest.mark.parametrize(
+    "source, offset, message",
+    [
+        ("x" * 5000, 0, f"unknown name {'x' * 40!r}... (5000 characters)"),
+        ("1 " + "9" * 5000, 2, f"unexpected token {'9' * 40!r}... (5000 characters)"),
+        ("1 " + "y" * 41, 2, f"unexpected token {'y' * 40!r}... (41 characters)"),
+        ("1 " + "y" * 38, 2, f"unexpected token {'y' * 38!r}"),
+    ],
+)
+def test_long_tokens_are_quoted_briefly(source, offset, message):
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert (info.value.offset, info.value.message) == (offset, message)
+
+
 def test_literals_past_the_int_str_limit_evaluate_exactly():
     nines = "9" * 5000  # int() of a str stops at 4300 digits by default
     assert eval_ast(parse(nines), 10) == Hyperreal.from_rational(10, 10**5000 - 1)

@@ -479,6 +479,9 @@ def test_error_messages_quote_huge_values_briefly():
         read_triples([[0, "1" * 20000 + "x", "1"]])
     assert len(str(info.value)) < 200
     assert "20001 characters" in str(info.value)
+    with pytest.raises(TypeError) as info:
+        Hyperreal(10, [("x" * 100000, 1)])
+    assert str(info.value) == f"exponent must be an integer, got {'x' * 40!r}... (100000 characters)"
 
 
 # -- dense products and powers: packed ints against the naive oracle -----------

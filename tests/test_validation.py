@@ -237,11 +237,19 @@ BOUNDED_VECTORS = [
     lambda n: IntermediateSubparticle(10, (Hyperreal.zero(10),) * n),
     lambda n: AffineMap(10, (Hyperreal.zero(10),) * n),
     lambda n: apply_translation_times(make_translation(Ultrasubparticle(10, MAX_DIMS), 3), (Hyperreal.zero(10),) * n, 1),
+    lambda n: RealizedVector((0,) * n),
 ]
 
 
-@pytest.mark.parametrize("build", BOUNDED_VECTORS, ids=["IntermediateSubparticle", "AffineMap", "apply_translation_times"])
+@pytest.mark.parametrize("build", BOUNDED_VECTORS,
+                         ids=["IntermediateSubparticle", "AffineMap", "apply_translation_times", "RealizedVector"])
 def test_vectors_are_refused_past_the_dims_limit(build):
     build(MAX_DIMS)
     message = short_refusal(lambda: build(MAX_DIMS + 1))
     assert message.endswith(f" may have at most {MAX_DIMS} coordinates, got {MAX_DIMS + 1}")
+
+
+def test_realized_vector_length_is_checked_before_its_entries():
+    too_long = short_refusal(lambda: RealizedVector((0.5,) * (MAX_DIMS + 1)))
+    assert too_long == f"a realized vector may have at most {MAX_DIMS} coordinates, got {MAX_DIMS + 1}"
+    assert short_refusal(lambda: RealizedVector((0.5,))) == "a realized vector needs at least 3 coordinates"
