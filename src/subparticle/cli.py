@@ -2,7 +2,8 @@
 
 Subcommands: ``encode`` (word to ledger), ``realize`` (ledger to word,
 once every stored field is recomputed), ``eval`` (expression inspector),
-``roundtrip`` (bulk corpus check).  Exit codes, fixed for scripting:
+``roundtrip`` (bulk corpus check).  ``--config`` files are JSON text, read
+by ``ledger.read_json`` as ledgers are.  Exit codes, fixed for scripting:
 0 ok, 1 corpus failure, 2 input error, 3 config error, 4 malformed ledger,
 5 integrity failure, 6 infinite value, 7 internal error (any other
 exception, reported on one line with no traceback).  Commands return only
@@ -25,7 +26,7 @@ from pathlib import Path
 from .codec import SymbolNotInAlphabetError
 from .expr import EvalError, ParseError, eval_ast, parse
 from .hyperreal import Classification, InfiniteValueError, _check_base
-from .ledger import _DECODER, Config, Ledger, LedgerError
+from .ledger import Config, Ledger, LedgerError, read_json
 # recompute_decoded is not called here, but the benchmark's tracer
 # (bench/spans.py) wraps this module's name for it.
 from .pipeline import IntegrityError, recompute_decoded, run_pipeline, verify_ledger
@@ -95,13 +96,7 @@ def _config_from_args(args) -> Config:
     data = {}
     try:
         if args.config:
-            text = _file(args.config, EXIT_CONFIG_ERROR, "config error: cannot read config file")
-            try:
-                data = _DECODER.decode(text)
-            except LedgerError:  # a repeated key, named in the message
-                raise
-            except (ValueError, RecursionError) as exc:  # JSONDecodeError, a number past the int-str limit, deep nesting
-                raise ValueError(f"config file is not valid JSON: {exc}") from exc
+            data = read_json(_file(args.config, EXIT_CONFIG_ERROR, "config error: cannot read config file"))
             if not isinstance(data, dict):
                 raise ValueError("config file must hold a JSON object")
         overrides = {"base": args.base, "dims": args.dims, "alphabet": args.alphabet, "bundle_coordinate": args.coord}
@@ -154,13 +149,11 @@ def _cmd_roundtrip(args) -> int:
         try:
             ledger = run_pipeline(word, config)
         except SymbolNotInAlphabetError as exc:
-            failures.append((word, str(exc)))
+            failures.append(f"FAIL {brief(word)}: {exc}")
             continue
         if ledger.decoded != word:
-            failures.append((word, f"decoded to {ledger.decoded!r}"))
-    for word, reason in failures:
-        print(f"FAIL {word!r}: {reason}")
-    print(f"{len(words) - len(failures)}/{len(words)} ok")
+            failures.append(f"FAIL {brief(word)}: decoded to {brief(ledger.decoded)}")
+    print(*failures, f"{len(words) - len(failures)}/{len(words)} ok", sep="\n")
     return EXIT_OK if not failures else EXIT_CORPUS_FAILURE
 
 

@@ -31,7 +31,7 @@ from .hyperreal import (
     _as_fraction,
     _check_base,
 )
-from .radix import brief, check_natural
+from .radix import brief, check_natural, literal
 
 # Most coordinates a vector may have, checked before any per-coordinate work.
 MAX_DIMS = 4096
@@ -72,7 +72,7 @@ def _hyperreal_vector(base: int, entries, what: str, least: int = 3) -> tuple[Hy
         if not isinstance(entry, Hyperreal):
             raise TypeError(f"entries of {what} must be Hyperreal, got {type(entry).__name__}")
         if entry.base != base:
-            raise BaseMismatchError(f"an entry of {what} has base {entry.base}, not {base}")
+            raise BaseMismatchError(f"an entry of {what} has base {brief(entry.base)}, not {brief(base)}")
     return entries
 
 
@@ -169,7 +169,7 @@ class AffineMap:
         return len(self.translation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RealizedVector:
     """Exact rational output vector; the first two entries are always zero.
     This is the one check of the realized layout, ledgers included."""
@@ -181,6 +181,9 @@ class RealizedVector:
         object.__setattr__(self, "coords", coords)
         if coords[0] != 0 or coords[1] != 0:
             raise ValueError("naming and count entries of a realized vector must be zero")
+
+    def __repr__(self):
+        return f"RealizedVector(coords={literal(self.coords)})"
 
 
 def _realized(coords: tuple[Hyperreal, ...], slots) -> RealizedVector:

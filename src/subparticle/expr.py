@@ -44,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .hyperreal import _ZERO, Hyperreal, _check_base
-from .radix import brief, decimal_value, to_decimal
+from .radix import brief, decimal_value, literal, to_decimal
 
 
 MAX_EXPONENT = 100_000
@@ -129,7 +129,7 @@ class ExprAst:
                 parts.append(node)
                 continue
             parts.append(f"ExprAst(kind={node.kind!r}, children=(")
-            stack.append(f"{',' if len(node.children) == 1 else ''}), value={node.value!r}, span={node.span!r})")
+            stack.append(f"{',' if len(node.children) == 1 else ''}), value={literal(node.value)}, span={node.span!r})")
             stack.extend(reversed([item for child in node.children for item in (", ", child)][1:]))
         return "".join(parts)
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Union
 
-from .radix import brief, check_natural, rational_to_decimal
+from .radix import brief, check_natural, rational_to_decimal, to_decimal
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
@@ -165,7 +165,7 @@ class Hyperreal:
         if isinstance(other, Hyperreal):
             if other._base != self._base:
                 raise BaseMismatchError(
-                    f"cannot combine values of base {self._base} and base {other._base}"
+                    f"cannot combine values of base {brief(self._base)} and base {brief(other._base)}"
                 )
             return other
         if isinstance(other, (int, Fraction)):
@@ -283,7 +283,7 @@ class Hyperreal:
         return hash((self._base, frozenset(self._terms.items())))
 
     def __repr__(self):
-        return f"Hyperreal({self._base}, {str(self)!r})"
+        return f"Hyperreal({to_decimal(self._base)}, {str(self)!r})"
 
     def __str__(self):
         if not self._terms:
@@ -367,7 +367,7 @@ def _term_body(magnitude: Fraction, exp: int) -> str:
         return rational_to_decimal(magnitude)
     symbol = "H" if exp > 0 else "eps"
     power = abs(exp)
-    symbol_pow = symbol if power == 1 else f"{symbol}^{power}"
+    symbol_pow = symbol if power == 1 else f"{symbol}^{to_decimal(power)}"
     return symbol_pow if magnitude == 1 else f"{rational_to_decimal(magnitude)}*{symbol_pow}"
 
 

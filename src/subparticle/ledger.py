@@ -9,10 +9,11 @@ triples in descending exponent order, and the zero hyperreal is exactly
 ``[]``.
 
 Format v1 fixes the shape of every field, so ``Ledger.to_json`` writes the
-document by that layout and is the one writer of ledger text, and
-``Ledger.from_dict`` the one reader.  This module alone knows the triple
-form: ``_hyperreal_json`` writes a hyperreal and ``_hyperreal`` reads one back
-over the config's checked base, refusing any JSON value but a list.  A run's
+document by that layout and is the one writer of ledger text,
+``Ledger.from_dict`` the one reader, and ``read_json`` the one reader of JSON
+text, ``--config`` files included.  This module alone knows the triple form:
+``_hyperreal_json`` writes a hyperreal and ``_hyperreal`` reads one back over
+the config's checked base, refusing any JSON value but a list.  A run's
 three vector fields are its config's constants (``Config.table``) but for the
 slots the run moves, so ``_vector_json`` and ``_parse_vector`` write or read
 only those slots when every other one holds its own entry exactly, and every
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 import marshal
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from json.encoder import encode_basestring_ascii
@@ -34,8 +35,9 @@ from operator import is_
 
 from .codec import DEFAULT_ALPHABET, Alphabet
 from .engine import RealizedVector, Ultrasubparticle, _check_coord
-from .hyperreal import _ZERO, Hypernatural, Hyperreal, _trusted
-from .radix import brief, check_natural, parse_decimal, parse_rational, rational_to_decimal, to_decimal
+from .hyperreal import _ZERO, Hypernatural, Hyperreal, _check_exponent, _trusted
+from .radix import brief, check_natural, decimal_value, is_decimal, literal
+from .radix import parse_rational, rational_to_decimal, to_decimal
 
 LEDGER_VERSION = "1"
 
@@ -109,7 +111,7 @@ class Config:
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         if unknown := set(data) - set(_CONFIG_KEYS):
-            raise ValueError(f"unknown config key(s): {sorted(unknown)}")
+            raise ValueError(f"unknown config key(s): {_listed(unknown)}")
         settings = (_CONFIG_DEFAULTS | data).values()  # in _CONFIG_KEYS order, a missing key at its default
         if cls is Config and list(map(type, settings)) == [int, int, str, int, str]:
             return _config_memo(*settings)  # exact types: True and 1.0 miss 1
@@ -120,7 +122,7 @@ _CONFIG_DEFAULTS = {key: getattr(Config, key) for key in _CONFIG_KEYS}
 _config_memo = lru_cache(maxsize=64)(Config)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Ledger:
     """Complete record of one encode run, replayable and checkable: the
     config and one field per pipeline stage.  The document's ``version``,
@@ -144,7 +146,7 @@ class Ledger:
         return self.config.bundle_sign
 
     def to_dict(self) -> dict:
-        return json.loads(self.to_json())
+        return read_json(self.to_json())
 
     def to_json(self) -> str:
         """The document, written field by field in format v1's layout."""
@@ -179,7 +181,7 @@ class Ledger:
         if missing := set(_LEDGER_KEYS) - set(data):
             raise LedgerError(f"missing ledger field(s): {sorted(missing)}")
         if unknown := set(data) - set(_LEDGER_KEYS):
-            raise LedgerError(f"unknown ledger field(s): {sorted(unknown)}")
+            raise LedgerError(f"unknown ledger field(s): {_listed(unknown)}")
         if data["version"] != LEDGER_VERSION:
             raise LedgerError(f"unsupported ledger version {brief(data['version'])}")
         try:
@@ -202,13 +204,11 @@ class Ledger:
 
     @classmethod
     def from_json(cls, text: str) -> "Ledger":
-        try:
-            data = _DECODER.decode(text)
-        except LedgerError:  # a repeated key
-            raise
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError, a number past the int-str limit, deep nesting
-            raise LedgerError(f"not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(text))
+
+    def __repr__(self):
+        items = (f"{item.name}={literal(getattr(self, item.name))}" for item in fields(self))
+        return f"Ledger({', '.join(items)})"
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -226,6 +226,22 @@ def _unique_keys(pairs: list) -> dict:
 
 # Built once: json.loads(text, object_pairs_hook=...) builds a decoder per call.
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def read_json(text: str):
+    """The JSON value of ``text``, for ledgers and ``--config`` files alike; ``LedgerError`` if it is not
+    JSON or an object in it repeats a key."""
+    try:
+        return _DECODER.decode(text)
+    except LedgerError:  # a repeated key
+        raise
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, a number past the int-str limit, deep nesting
+        raise LedgerError(f"not valid JSON: {exc}") from exc
+
+
+def _listed(keys) -> str:
+    """Keys as the text of a list, each quoted by ``brief``, in ``repr`` order, so that keys of any type sort."""
+    return f"[{', '.join(map(brief, sorted(keys, key=repr)))}]"
 
 
 def _hyperreal_json(value: Hyperreal) -> str:
@@ -247,19 +263,14 @@ def _hyperreal(value, base: int) -> Hyperreal:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise ValueError(f"expected an [exponent, numerator, denominator] triple, got {brief(item)}")
         exp, num, den = item
-        if not isinstance(exp, int) or isinstance(exp, bool):
-            raise ValueError(f"triple exponent must be an integer, got {brief(exp)}")
+        _check_exponent(exp)
         if previous is not None and exp >= previous:
             raise ValueError("triples must be in strictly descending exponent order")
         previous = exp
-        try:
-            numerator = parse_decimal(num, signed=True)
-        except ValueError:
-            raise ValueError(f"triple numerator must be a decimal string, got {brief(num)}") from None
-        try:
-            denominator = parse_decimal(den)
-        except ValueError:
-            denominator = 0
+        if not is_decimal(num, signed=True):
+            raise ValueError(f"triple numerator must be a decimal string, got {brief(num)}")
+        numerator = decimal_value(num)
+        denominator = decimal_value(den) if is_decimal(den) else 0
         if not denominator:
             raise ValueError(f"triple denominator must be a positive decimal string, got {brief(den)}")
         if not numerator:
@@ -276,16 +287,15 @@ _Vector = namedtuple("_Vector", "key moved own texts values marshalled write rea
 
 
 def _vector(key, moved, own, write, read, whole) -> _Vector:
-    rows = {id(entry): (text := write(entry), json.loads(text)) for entry in {id(e): e for e in own}.values()}
+    rows = {id(entry): (text := write(entry), read_json(text)) for entry in {id(e): e for e in own}.values()}
     texts, values = map(list, zip(*(rows[id(entry)] for entry in own)))
     return _Vector(key, moved, own, texts, values, marshal.dumps(values, 2), write, read, whole)
 
 
 def _parse_natural(value, field: str) -> int:
-    try:
-        return parse_decimal(value, canonical=True)
-    except ValueError:
-        raise LedgerError(f"{field} must be a decimal string of a natural number, got {brief(value)}") from None
+    if not is_decimal(value, canonical=True):
+        raise LedgerError(f"{field} must be a decimal string of a natural number, got {brief(value)}")
+    return decimal_value(value)
 
 
 def _parse_count(value, base: int) -> Hypernatural:

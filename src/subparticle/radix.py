@@ -139,6 +139,18 @@ def rational_to_decimal(value: Fraction) -> str:
     return f"{to_decimal(value.numerator)}/{to_decimal(value.denominator)}"
 
 
+def literal(value) -> str:
+    """``repr(value)`` at any size: an int, a Fraction and a tuple of either
+    are written through ``to_decimal``, anything else by its own ``repr``."""
+    if type(value) is int:
+        return to_decimal(value)
+    if type(value) is Fraction:
+        return f"Fraction({to_decimal(value.numerator)}, {to_decimal(value.denominator)})"
+    if type(value) is tuple:
+        return f"({', '.join(map(literal, value))}{',' if len(value) == 1 else ''})"
+    return repr(value)
+
+
 def is_decimal(text, signed: bool = False, canonical: bool = False) -> bool:
     """True for a string of ASCII digits, with one leading ``-`` when
     ``signed``; with ``canonical`` also no leading zero, except in ``0``
@@ -193,10 +205,10 @@ BRIEF_LIMIT = 40
 
 def brief(value) -> str:
     """``repr(value)`` for an error message, cut to its first ``BRIEF_LIMIT``
-    characters plus the total length when it is longer, so that a huge
-    input never makes a huge message."""
-    if isinstance(value, str) and len(value) > BRIEF_LIMIT:
-        return f"{value[:BRIEF_LIMIT]!r}... ({len(value)} characters)"
+    characters plus the total length when it is longer: a string's own
+    characters, any other value's text.  A huge input never makes a huge message."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= BRIEF_LIMIT else f"{value[:BRIEF_LIMIT]!r}... ({len(value)} characters)"
     try:
         text = to_decimal(value) if type(value) is int else repr(value)
     except RecursionError:  # a container nested too deep for repr

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -98,7 +99,7 @@ class TestEncode:
         config.write_text('{"dims": ' + "1" * 5000 + "}", encoding="utf-8")
         code, _, err = run(capsys, "encode", "--word", "a", "--config", str(config))
         assert code == 3
-        assert err.startswith("config error: config file is not valid JSON")
+        assert err.startswith("config error: not valid JSON")
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "encode", "--word", "a", "--config", "/nonexistent.json")
@@ -118,6 +119,13 @@ class TestEncode:
         code, out, err = run(capsys, "encode", "--word", "ab", "--config", str(config))
         assert (code, out, err) == (3, "", "config error: repeated key 'base'\n")
 
+    def test_huge_unknown_key_in_a_config_file_is_quoted_briefly(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k" * 100_000: 1}), encoding="utf-8")
+        code, out, err = run(capsys, "encode", "--word", "a", "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == f"config error: unknown config key(s): [{'k' * 40!r}... (100000 characters)]\n"
+
     @pytest.mark.parametrize("text", ["[1]", '"x"', "null"])
     def test_config_file_must_hold_an_object(self, capsys, tmp_path, text):
         config = tmp_path / "config.json"
@@ -131,7 +139,7 @@ class TestEncode:
         config.write_text(shape * 100_000, encoding="utf-8")
         code, out, err = run(capsys, "encode", "--word", "a", "--config", str(config))
         assert (code, out) == (3, "")
-        assert err.startswith("config error: config file is not valid JSON: ")
+        assert err.startswith("config error: not valid JSON: ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("target", ["missing/run.json", "."])
@@ -409,6 +417,25 @@ class TestRoundtrip:
         assert code == 1
         assert "2/3 ok" in out
         assert "symbol not in alphabet" in out
+
+    def test_fail_line_of_a_huge_word_is_short(self, capsys, tmp_path):
+        corpus = self.write_corpus(tmp_path, ["a" * 50_000 + "#" + "b" * 49_999])
+        code, out, _ = run(capsys, "roundtrip", "--corpus", str(corpus))
+        fail, summary = out.splitlines()
+        assert (code, summary) == (1, "0/1 ok")
+        assert fail.startswith(f"FAIL {'a' * 40!r}... (100000 characters): symbol not in alphabet at position 50000")
+        assert len(fail.encode()) < 200
+
+    def test_decoded_word_in_a_fail_line_is_quoted_briefly(self, capsys, tmp_path, monkeypatch):
+        real = cli.run_pipeline
+
+        def misdecoded(word, config):
+            return dataclasses.replace(real(word, config), decoded="z" * 100_000)
+
+        monkeypatch.setattr(cli, "run_pipeline", misdecoded)
+        corpus = self.write_corpus(tmp_path, ["ab"])
+        code, out, _ = run(capsys, "roundtrip", "--corpus", str(corpus))
+        assert (code, out) == (1, f"FAIL 'ab': decoded to {'z' * 40!r}... (100000 characters)\n0/1 ok\n")
 
     def test_empty_corpus(self, capsys, tmp_path):
         corpus = tmp_path / "empty.txt"

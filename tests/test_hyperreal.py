@@ -294,12 +294,12 @@ MALFORMED_TRIPLES = [
     ([[0, "0", "1"]], "zero coefficient in serialized value"),  # stored zero coefficient
     ([[0, "1", "1"], [0, "2", "1"]], "triples must be in strictly descending exponent order"),  # duplicate exponent
     ([[0, "1", "1"], [1, "2", "1"]], "triples must be in strictly descending exponent order"),  # ascending order
-    ([["0", "1", "1"]], "triple exponent must be an integer, got '0'"),  # non-integer exponent
+    ([["0", "1", "1"]], "exponent must be an integer, got '0'"),  # non-integer exponent
     ([[0, "1.5", "1"]], "triple numerator must be a decimal string, got '1.5'"),  # non-decimal numerator
     ([[0, "1", "-1"]], "triple denominator must be a positive decimal string, got '-1'"),  # negative denominator
     ([[0, 1, "1"]], "triple numerator must be a decimal string, got 1"),  # numerator not a string
     ([[0, "1"]], "expected an [exponent, numerator, denominator] triple, got [0, '1']"),  # not a triple
-    ([[True, "1", "1"]], "triple exponent must be an integer, got True"),  # bool exponent
+    ([[True, "1", "1"]], "exponent must be an integer, got True"),  # bool exponent
 ]
 
 

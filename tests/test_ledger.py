@@ -451,6 +451,27 @@ def test_huge_field_is_quoted_briefly():
     assert "20001 characters" in str(info.value)
 
 
+# An unknown key is quoted through brief, and keys of any types sort by repr.
+@pytest.mark.parametrize(
+    "extra, listed",
+    [
+        ({"k" * 100_000: 1}, f"[{'k' * 40!r}... (100000 characters)]"),
+        ({1: 1, "x": 2}, "['x', 1]"),
+        ({"b": 1, "a": 2}, "['a', 'b']"),
+    ],
+    ids=["huge", "mixed types", "sorted"],
+)
+def test_unknown_keys_are_listed_briefly(extra, listed):
+    data = run_pipeline("ab").to_dict()
+    with pytest.raises(LedgerError) as info:
+        Ledger.from_dict(data | extra)
+    assert str(info.value) == f"unknown ledger field(s): {listed}"
+    with pytest.raises(ValueError) as info:
+        Config.from_dict(data["config"] | extra)
+    assert str(info.value) == f"unknown config key(s): {listed}"
+    assert len(str(info.value)) < 200
+
+
 def test_recompute_refuses_a_code_whose_word_differs_in_length():
     ledger = run_pipeline("ab")
     data = ledger.to_dict()
@@ -541,10 +562,10 @@ def test_document_is_the_one_the_papers_formulas_give(word_and_config):
 @pytest.mark.parametrize(
     "slot, entry, message",
     [
-        (2, [[-1.0, "1", "1"]], "coordinate 3: triple exponent must be an integer, got -1.0"),
-        (3, [[-1.0, "-1", "1"]], "coordinate 4: triple exponent must be an integer, got -1.0"),
-        (1, [[False, "1", "1"]], "coordinate 2: triple exponent must be an integer, got False"),
-        (1, [[0.0, "1", "1"]], "coordinate 2: triple exponent must be an integer, got 0.0"),
+        (2, [[-1.0, "1", "1"]], "coordinate 3: exponent must be an integer, got -1.0"),
+        (3, [[-1.0, "-1", "1"]], "coordinate 4: exponent must be an integer, got -1.0"),
+        (1, [[False, "1", "1"]], "coordinate 2: exponent must be an integer, got False"),
+        (1, [[0.0, "1", "1"]], "coordinate 2: exponent must be an integer, got 0.0"),
         (4, [[-1, "1", "1"], [-1, "1", "1"]], "coordinate 5: triples must be in strictly descending exponent order"),
         (4, [[-1, "1", "1", "1"]], "coordinate 5: expected an [exponent, numerator, denominator] triple, got [-1, '1', '1', '1']"),
     ],

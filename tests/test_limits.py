@@ -1,5 +1,6 @@
 """Stated resource limits of the expression language and its error output:
-nesting depth, operator chains of any length, and the caret window."""
+nesting depth, operator chains of any length, and the caret window; and
+reprs of values past CPython's int-str limit."""
 
 import random
 from fractions import Fraction
@@ -7,8 +8,13 @@ from fractions import Fraction
 import pytest
 
 from subparticle.cli import CARET_WINDOW, main
+from subparticle.engine import RealizedVector, bundle, realize
 from subparticle.expr import MAX_DEPTH, NodeKind, ParseError, eval_ast, parse, pretty
-from subparticle.hyperreal import Hyperreal
+from subparticle.hyperreal import Hyperreal, lambda_for_code
+from subparticle.ledger import Config
+from subparticle.pipeline import run_pipeline
+
+from oracles import divmod_decimal
 
 OPENERS = {"(": ("(", ")"), "-": ("-", ""), "st(": ("st(", ")")}
 
@@ -140,3 +146,46 @@ def test_caret_window_is_bounded_and_points_at_the_error(capsys, before, after):
     assert shown.startswith("  ") and caret.startswith("  ")
     assert len(shown) - 2 <= CARET_WINDOW
     assert shown[len(caret) - 1] == "x" and caret.strip() == "^"
+
+
+# Reprs write their ints and Fractions through radix, so that one past CPython's
+# 4300-digit int-str limit still prints; under it, each is the dataclass form.
+
+
+def test_reprs_past_the_int_str_limit_return():
+    ledger = run_pipeline("a" * 5000)
+    code = divmod_decimal(ledger.code)
+    assert len(code) > 4300
+    assert f", code={code}, " in repr(ledger)
+    assert f"Fraction({code}, 1)" in repr(ledger)
+    count = lambda_for_code(ledger.code, 10)
+    assert repr(realize(bundle(ledger.config.particle, 3, count))) == (
+        f"RealizedVector(coords=(Fraction(0, 1), Fraction(0, 1), Fraction({code}, 1)"
+        + ", Fraction(0, 1)" * 5 + "))"
+    )
+    assert f"value={'1' * 5000}, span=" in repr(parse("1" * 5000))
+    assert f"value=Fraction({'1' * 5000}, 7), span=" in repr(parse("1" * 5000 + "/7"))
+    assert repr(Hyperreal.one(10**5000)) == f"Hyperreal(1{'0' * 5000}, '1')"
+    assert str(Hyperreal.generator(10) ** 10**5000) == f"H^1{'0' * 5000}"
+
+
+def test_reprs_of_small_values_are_unchanged():
+    assert repr(run_pipeline("ab", Config(dims=3))) == (
+        "Ledger(config=Config(base=10, dims=3, alphabet='abcdefghijklmnopqrstuvwxyz ', bundle_coordinate=3, "
+        "quality_signs='+'), word='ab', code=29, count=Hypernatural(Hyperreal(10, '29*H')), "
+        "ultrasubparticle=(Hyperreal(10, '0'), Hyperreal(10, '1'), Hyperreal(10, 'eps')), "
+        "intermediate=(Hyperreal(10, '0'), Hyperreal(10, '29*H'), Hyperreal(10, '29')), "
+        "realized=(Fraction(0, 1), Fraction(0, 1), Fraction(29, 1)), decoded='ab')"
+    )
+    assert repr(RealizedVector((0, 0, Fraction(-3, 7)))) == (
+        "RealizedVector(coords=(Fraction(0, 1), Fraction(0, 1), Fraction(-3, 7)))"
+    )
+    assert repr(parse("2/4 + 3*H^2")) == (
+        "ExprAst(kind=<NodeKind.ADD: 'Add'>, children=(ExprAst(kind=<NodeKind.RAT_LIT: 'RatLit'>, children=(), "
+        "value=Fraction(1, 2), span=(0, 3)), ExprAst(kind=<NodeKind.MUL: 'Mul'>, children=(ExprAst("
+        "kind=<NodeKind.INT_LIT: 'IntLit'>, children=(), value=3, span=(6, 1)), ExprAst(kind=<NodeKind.POW: 'Pow'>, "
+        "children=(ExprAst(kind=<NodeKind.GEN: 'Gen'>, children=(), value=None, span=(8, 1)),), value=2, "
+        "span=(8, 3))), value=None, span=(6, 5))), value=None, span=(0, 11))"
+    )
+    assert repr(Hyperreal(2, {3: Fraction(1, 2), -2: -5})) == "Hyperreal(2, '1/2*H^3 - 5*eps^2')"
+    assert str(Hyperreal.generator(10) ** 12) == "H^12"

@@ -5,13 +5,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subparticle import radix
 from subparticle.radix import (
     DECIMAL_LEAF,
     DIVISION_CUTOFF,
+    brief,
     divmod_2n_1n,
     is_decimal,
     join,
@@ -240,3 +241,32 @@ def test_parse_rational_accepts(text, expected):
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+def cut(text, shown):
+    """The brief rule: ``shown`` whole when ``text`` has at most 40 characters, else the quoted first 40."""
+    return shown(text) if len(text) <= 40 else f"{shown(text[:40])}... ({len(text)} characters)"
+
+
+@example("y" * 39)
+@example("y" * 40)
+@example("y" * 41)
+@example("'" * 41)
+@given(st.text(max_size=90))
+def test_brief_cuts_a_string_by_its_own_characters(text):
+    assert brief(text) == cut(text, repr)
+
+
+@settings(max_examples=60, deadline=None)
+@example(10**39, False)
+@example(10**40, True)
+@given(sized_integers, st.booleans())
+def test_brief_cuts_an_int_by_its_decimal_text(n, negative):
+    text = divmod_decimal(-n if negative else n)
+    assert brief(-n if negative else n) == cut(text, str)
+
+
+def test_brief_cuts_any_other_value_by_its_repr():
+    assert brief(["x"] * 3) == "['x', 'x', 'x']"
+    assert brief(["x"] * 10) == f"{repr(['x'] * 10)[:40]}... (50 characters)"
+    assert brief(b"y" * 41) == f"{repr(b'y' * 41)[:40]}... (44 characters)"

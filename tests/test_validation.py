@@ -1,6 +1,7 @@
 """One check per concept: the library, `spc encode --config` and `spc realize`
 refuse each invalid setting alike, with a short message and no traceback."""
 
+import ast
 import json
 import pathlib
 from fractions import Fraction
@@ -21,7 +22,7 @@ from subparticle.engine import (
     apply_translation_times,
     make_translation,
 )
-from subparticle.hyperreal import Hypernatural, Hyperreal, lambda_for_code
+from subparticle.hyperreal import BaseMismatchError, Hypernatural, Hyperreal, lambda_for_code
 from subparticle.ledger import Config, Ledger
 from subparticle.pipeline import run_pipeline
 
@@ -105,6 +106,8 @@ ONE_SITE = [
     "quality coordinate must be in 3..",
     "naming and count entries",
     "may have at most",
+    "not valid JSON",
+    "exponent must be an integer",
 ]
 
 
@@ -179,6 +182,29 @@ def test_negative_code_in_a_ledger_is_malformed(capsys, tmp_path):
 def test_each_check_is_raised_in_one_place(text):
     package = pathlib.Path(subparticle.__file__).parent
     assert sum(path.read_text(encoding="utf-8").count(text) for path in package.glob("*.py")) == 1
+
+
+def test_json_text_is_decoded_in_one_place():
+    calls = []
+    for path in pathlib.Path(subparticle.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert "json.loads" not in calls and "loads" not in calls
+    assert calls.count("_DECODER.decode") == 1
+
+
+# The base-mismatch messages quote both bases through brief.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Hyperreal.one(10**5000) + Hyperreal.one(10),
+        lambda: Hyperreal.one(10) * Hyperreal.one(10**5000),
+        lambda: IntermediateSubparticle(10**5000, PARTICLE.coords()),
+        lambda: AffineMap(10, (Hyperreal.zero(10**5000),) * 3),
+    ],
+)
+def test_base_mismatch_quotes_a_huge_base_briefly(call):
+    assert "... (5001 characters)" in short_refusal(call, BaseMismatchError)
 
 
 def test_empty_quality_signs_mean_the_default_layout():
