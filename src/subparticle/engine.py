@@ -96,6 +96,7 @@ class Ultrasubparticle:
     naming: int = 0
     signs: tuple[int, ...] | None = None
     _coords: tuple[Hyperreal, ...] = field(init=False, repr=False, compare=False)
+    __repr__ = literal
 
     def __post_init__(self):
         _check_base(self.base)
@@ -128,6 +129,7 @@ class IntermediateSubparticle:
 
     base: int
     coords: tuple[Hyperreal, ...]
+    __repr__ = literal
 
     def __post_init__(self):
         coords = _hyperreal_vector(self.base, self.coords, "an intermediate subparticle")
@@ -154,6 +156,7 @@ class AffineMap:
 
     base: int
     translation: tuple[Hyperreal, ...]
+    __repr__ = literal
 
     def __post_init__(self):
         translation = _hyperreal_vector(self.base, self.translation, "a translation")
@@ -169,7 +172,7 @@ class AffineMap:
         return len(self.translation)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class RealizedVector:
     """Exact rational output vector; the first two entries are always zero.
     This is the one check of the realized layout, ledgers included."""
@@ -182,8 +185,7 @@ class RealizedVector:
         if coords[0] != 0 or coords[1] != 0:
             raise ValueError("naming and count entries of a realized vector must be zero")
 
-    def __repr__(self):
-        return f"RealizedVector(coords={literal(self.coords)})"
+    __repr__ = literal
 
 
 def _realized(coords: tuple[Hyperreal, ...], slots) -> RealizedVector:

@@ -31,19 +31,26 @@ nested ``st``, is evaluated on standard parts alone: Fractions, with
 ``eps`` as 0, and no Hyperreal built.  Any other is evaluated in full.  The
 shape decides before any arithmetic, so every node is evaluated once.
 
-Parsing is per token and per node, so both are kept cheap: tokens are
-plain ``(kind, text, offset)`` tuples, read by position, and tree nodes
-are slotted dataclasses, not frozen ones.
+Parsing is per token and per node, so both are kept cheap.  One C-level
+``re.split`` finds the tokens, and they become plain ``(kind, text,
+offset)`` tuples, read by position.  The parser is one loop over products
+and sums, and it reads a factor's unary ``-`` signs, primary and exponent
+in place: it recurses only into ``(`` and ``st(``.  Tree nodes are slotted
+dataclasses, not frozen ones.  ``eval_ast`` checks the base once and then
+builds each leaf unchecked, and multiplies a run of ``*`` as a balanced
+tree of pairwise products, so a long run costs about what a power does.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, islice
 
-from .hyperreal import _ZERO, Hyperreal, _check_base
+from .hyperreal import _ONE, _ZERO, Hyperreal, _check_base, _trusted
 from .radix import brief, decimal_value, literal, to_decimal
 
 
@@ -134,54 +141,36 @@ class ExprAst:
         return "".join(parts)
 
 
-# Each match is a token, a run of whitespace (no group: skipped) or one other
-# character, which no token may hold; the last is the empty match at \Z.
-_SCANNER = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[-+*^/()])|[ \t\r\n]+|(?P<eof>\Z)|(?P<bad>.)")
-
-# The left-associative binary operators by token: precedence level (higher
-# binds tighter) and node kind.
-_BINARY = {"+": (0, _ADD), "-": (0, _SUB), "*": (1, _MUL)}
+# Splitting on the tokens, runs of digits or letters and any other character
+# but whitespace, leaves the whitespace runs between them.
+_TOKEN = re.compile(r"([0-9]+|[A-Za-z]+|[^ \t\r\n])")
+# A token's kind by its first character; any character not here is no token.
+_KINDS = {**dict.fromkeys(string.digits, "int"), **dict.fromkeys(string.ascii_letters, "name"),
+          **{ch: ch for ch in "+-*^/()"}}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Tokens as ``(kind, text, offset)``; kind is "int", "name", "eof" or the
     punctuation character."""
-    tokens = []
-    for match in _SCANNER.finditer(text):
-        kind = match.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {match[0]!r}", match.start())
-        if kind:
-            token = match[0]
-            tokens.append((token if kind == "punct" else kind, token, match.start()))
-    return tokens
+    parts = _TOKEN.split(text)
+    tokens = parts[1::2]
+    kinds = [_KINDS.get(token[0]) for token in tokens]
+    if None in kinds:
+        bad = kinds.index(None)
+        raise ParseError(f"unexpected character {tokens[bad]!r}", len("".join(parts[: 2 * bad + 1])))
+    return [*zip(kinds, tokens, islice(accumulate(map(len, parts)), 0, None, 2)), ("eof", "", len(text))]
 
 
 class _Parser:
-    """Recursive descent over the token list: each method reads
-    ``self.tokens[self.pos]`` and steps ``self.pos`` itself.  A node's span
-    is ``(offset, length)``, from its first token to the end of its last."""
+    """Recursive descent over the token list, recursing only into ``(`` and
+    ``st(``: ``self.pos`` is the next token's index and ``self.depth`` the
+    nesting level.  A node's span is ``(offset, length)``, from its first
+    token to the end of its last."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-
-    def expect(self, kind: str, message: str) -> tuple[str, str, int]:
-        token = self.tokens[self.pos]
-        if token[0] != kind:
-            raise ParseError(message, token[2])
-        self.pos += 1
-        return token
-
-    def nested(self, parse_inner, offset: int) -> ExprAst:
-        """``parse_inner()`` one nesting level below the token at ``offset``."""
-        if self.depth == MAX_DEPTH:
-            raise ParseError(f"nesting exceeds the limit of {MAX_DEPTH}", offset)
-        self.depth += 1
-        node = parse_inner()
-        self.depth -= 1
-        return node
 
     def parse(self) -> ExprAst:
         node = self.expr()
@@ -190,84 +179,103 @@ class _Parser:
             raise ParseError(f"unexpected token {brief(text)}", offset)
         return node
 
-    def expr(self, level: int = 0) -> ExprAst:
-        """Factors joined by the operators of ``level`` or tighter, grouped to the
-        left; each right operand is an expr of the next tighter level."""
-        node = self.factor()
+    def expr(self) -> ExprAst:
+        """Products joined by ``+`` and ``-``, each a run of factors joined by
+        ``*``, all grouped to the left: ``*`` binds tighter.  ``node`` is the
+        running product, ``total`` the sum before it and ``link`` their sign."""
         tokens = self.tokens
-        while (op := _BINARY.get(tokens[self.pos][0])) and op[0] >= level:
+        total, link, node = None, None, self.factor()
+        while True:
+            kind = tokens[self.pos][0]
+            if kind == "*":
+                self.pos += 1
+                right = self.factor()
+                start, (offset, length) = node.span[0], right.span
+                node = ExprAst(_MUL, (node, right), None, (start, offset + length - start))
+                continue
+            if link is not None:
+                start, (offset, length) = total.span[0], node.span
+                node = ExprAst(link, (total, node), None, (start, offset + length - start))
+            if kind != "+" and kind != "-":
+                return node
             self.pos += 1
-            right = self.expr(op[0] + 1)
-            start, (offset, length) = node.span[0], right.span
-            node = ExprAst(op[1], (node, right), None, (start, offset + length - start))
-        return node
+            total, link, node = node, _ADD if kind == "+" else _SUB, self.factor()
 
     def factor(self) -> ExprAst:
-        tokens = self.tokens
-        kind, _, start = tokens[self.pos]
-        if kind == "-":
-            self.pos += 1
-            child = self.nested(self.factor, start)
-            offset, length = child.span
-            return ExprAst(_NEG, (child,), None, (start, offset + length - start))
-        node = self.primary()
-        if tokens[self.pos][0] == "^":
-            self.pos += 1
-            sign = 1
-            if tokens[self.pos][0] == "-":
-                self.pos += 1
-                sign = -1
-            _, text, offset = self.expect("int", "expected integer exponent after '^'")
+        """A run of unary ``-``, each one nesting level, a primary and an
+        optional ``^`` exponent, read in place."""
+        tokens, first, depth = self.tokens, self.pos, self.depth
+        kind, text, start = tokens[first]
+        pos = first
+        while kind == "-":
+            if depth == MAX_DEPTH:
+                raise ParseError(f"nesting exceeds the limit of {MAX_DEPTH}", start)
+            depth += 1
+            pos += 1
+            kind, text, start = tokens[pos]
+        minus = pos - first
+        pos += 1
+        if kind == "int":
+            if tokens[pos][0] == "/":
+                kind, den, offset = tokens[pos + 1]
+                if kind != "int":
+                    raise ParseError("expected integer denominator after '/'", offset)
+                pos += 2
+                denominator = decimal_value(den)
+                if denominator == 0:
+                    raise ParseError("malformed rational: denominator must be positive", offset)
+                node = ExprAst(_RAT_LIT, (), Fraction(decimal_value(text), denominator), (start, offset + len(den) - start))
+            else:
+                node = ExprAst(_INT_LIT, (), decimal_value(text), (start, len(text)))
+        elif kind == "name" and text == "eps":
+            node = ExprAst(_EPS, (), None, (start, 3))
+        elif kind == "name" and text == "H":
+            node = ExprAst(_GEN, (), None, (start, 1))
+        elif kind == "(" or kind == "name" and text == "st":
+            if kind == "name":
+                if tokens[pos][0] != "(":
+                    raise ParseError("expected '(' after 'st'", tokens[pos][2])
+                pos += 1
+            if depth == MAX_DEPTH:
+                raise ParseError(f"nesting exceeds the limit of {MAX_DEPTH}", start)
+            outer, self.pos, self.depth = self.depth, pos, depth + 1
+            inner, self.depth = self.expr(), outer
+            if tokens[self.pos][0] != ")":
+                raise ParseError("expected ')'", tokens[self.pos][2])
+            close, pos = tokens[self.pos][2], self.pos + 1
+            node = ExprAst(_PAREN if kind == "(" else _ST, (inner,), None, (start, close + 1 - start))
+        else:
+            raise ParseError("unexpected end of input" if kind == "eof" else
+                             f"{'unknown name' if kind == 'name' else 'unexpected token'} {brief(text)}", start)
+        if tokens[pos][0] == "^":
+            negative = tokens[pos + 1][0] == "-"
+            kind, text, offset = tokens[pos + 1 + negative]
+            pos += 2 + negative
+            if kind != "int":
+                raise ParseError("expected integer exponent after '^'", offset)
             digits = text.lstrip("0") or "0"
             if len(digits) > _MAX_EXPONENT_DIGITS or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", offset)
             start = node.span[0]
-            node = ExprAst(_POW, (node,), sign * int(digits), (start, offset + len(text) - start))
+            node = ExprAst(_POW, (node,), -int(digits) if negative else int(digits), (start, offset + len(text) - start))
+        self.pos = pos
+        if minus:
+            end = sum(node.span)
+            for _, _, start in reversed(tokens[first : first + minus]):
+                node = ExprAst(_NEG, (node,), None, (start, end - start))
         return node
-
-    def primary(self) -> ExprAst:
-        kind, text, start = self.tokens[self.pos]
-        self.pos += 1
-        if kind == "int":
-            if self.tokens[self.pos][0] == "/":
-                self.pos += 1
-                _, den, offset = self.expect("int", "expected integer denominator after '/'")
-                denominator = decimal_value(den)
-                if denominator == 0:
-                    raise ParseError("malformed rational: denominator must be positive", offset)
-                value = Fraction(decimal_value(text), denominator)
-                return ExprAst(_RAT_LIT, (), value, (start, offset + len(den) - start))
-            return ExprAst(_INT_LIT, (), decimal_value(text), (start, len(text)))
-        if kind == "name":
-            if text == "eps":
-                return ExprAst(_EPS, (), None, (start, 3))
-            if text == "H":
-                return ExprAst(_GEN, (), None, (start, 1))
-            if text == "st":
-                self.expect("(", "expected '(' after 'st'")
-                inner = self.nested(self.expr, start)
-                close = self.expect(")", "expected ')'")[2]
-                return ExprAst(_ST, (inner,), None, (start, close + 1 - start))
-            raise ParseError(f"unknown name {brief(text)}", start)
-        if kind == "(":
-            inner = self.nested(self.expr, start)
-            close = self.expect(")", "expected ')'")[2]
-            return ExprAst(_PAREN, (inner,), None, (start, close + 1 - start))
-        if kind == "eof":
-            raise ParseError("unexpected end of input", start)
-        raise ParseError(f"unexpected token {brief(text)}", start)
 
 
 # The left-associative binary operators: their source text.
 _CHAIN_TEXT = {_ADD: " + ", _SUB: " - ", _MUL: "*"}
 
 
-def _chain(node: ExprAst) -> tuple[ExprAst, list[tuple[NodeKind, ExprAst]]]:
-    """The leftmost operand below a chain of ``+ - *`` nodes, and each
+def _chain(node: ExprAst, kinds=tuple(_CHAIN_TEXT)) -> tuple[ExprAst, list[tuple[NodeKind, ExprAst]]]:
+    """The leftmost operand below a chain of nodes of ``kinds``, and each
     node's kind and right operand in source order, found in a loop."""
     links = []
-    while (kind := node.kind) is _ADD or kind is _SUB or kind is _MUL:
-        links.append((kind, node.children[1]))
+    while node.kind in kinds:
+        links.append((node.kind, node.children[1]))
         node = node.children[0]
     links.reverse()
     return node, links
@@ -301,24 +309,30 @@ def _finite_on_its_face(node: ExprAst) -> bool:
 
 def _eval(node: ExprAst, base: int, standard: bool = False) -> Hyperreal | Fraction:
     """The tree's Hyperreal value or, when ``standard``, the Fraction of its
-    standard part; the latter is asked only of trees finite on their face."""
+    standard part; the latter is asked only of trees finite on their face.
+    Leaves are built unchecked: ``eval_ast`` has checked the base."""
     kind = node.kind
     if kind is _INT_LIT or kind is _RAT_LIT:
-        if standard:
-            return node.value if kind is _RAT_LIT else Fraction(node.value)
-        return Hyperreal.from_rational(base, node.value)
+        value = node.value if kind is _RAT_LIT else Fraction(node.value)
+        return value if standard else _trusted(base, {0: value} if value else {})
     if kind is _EPS:
-        return _ZERO if standard else Hyperreal.epsilon(base)
+        return _ZERO if standard else _trusted(base, {-1: _ONE})
     if kind is _GEN:
-        return Hyperreal.generator(base)
+        return _trusted(base, {1: _ONE})
     if kind is _NEG:
         return -_eval(node.children[0], base, standard)
-    if kind is _ADD or kind is _SUB or kind is _MUL:
-        first, links = _chain(node)
+    if kind is _MUL:  # every factor in order, then their product as a balanced tree
+        left, right = node.children
+        if left.kind is not _MUL:
+            return _eval(left, base, standard) * _eval(right, base, standard)
+        first, links = _chain(node, (_MUL,))
+        return _product([_eval(first, base, standard)] + [_eval(right, base, standard) for _, right in links])
+    if kind is _ADD or kind is _SUB:
+        first, links = _chain(node, (_ADD, _SUB))
         value = _eval(first, base, standard)
         for op, right in links:
             right = _eval(right, base, standard)
-            value = value + right if op is _ADD else value - right if op is _SUB else value * right
+            value = value + right if op is _ADD else value - right
         return value
     if kind is _POW:
         child = node.children[0]
@@ -332,10 +346,21 @@ def _eval(node: ExprAst, base: int, standard: bool = False) -> Hyperreal | Fract
     if kind is _ST:  # on standard parts alone if the argument is finite on its face
         child = node.children[0]
         value = _eval(child, base, True) if _finite_on_its_face(child) else _eval(child, base).st()
-        return value if standard else Hyperreal.from_rational(base, value)
+        return value if standard else _trusted(base, {0: value} if value else {})
     if kind is _PAREN:
         return _eval(node.children[0], base, standard)
     raise AssertionError(f"unhandled node kind {kind!r}")
+
+
+def _product(values: list):
+    """The product of two or more ``values`` in order, as a balanced tree of
+    pairwise products: for n factors of a few terms each, the larger
+    operands' term counts sum to about n*log2(n)/2, not n*n/2 as in a left
+    fold."""
+    while len(values) > 2:
+        values = [x * y for x, y in zip(values[::2], values[1::2])] + values[len(values) & ~1 :]
+    x, y = values
+    return x * y
 
 
 def pretty(ast: ExprAst) -> str:

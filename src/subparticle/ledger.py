@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import marshal
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from json.encoder import encode_basestring_ascii
@@ -74,6 +74,7 @@ class Config:
     codec_alphabet: Alphabet = field(init=False, repr=False, compare=False)
     particle: Ultrasubparticle = field(init=False, repr=False, compare=False)
     signs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __repr__ = literal
 
     def __post_init__(self):
         text = self.quality_signs
@@ -122,7 +123,7 @@ _CONFIG_DEFAULTS = {key: getattr(Config, key) for key in _CONFIG_KEYS}
 _config_memo = lru_cache(maxsize=64)(Config)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Ledger:
     """Complete record of one encode run, replayable and checkable: the
     config and one field per pipeline stage.  The document's ``version``,
@@ -206,9 +207,7 @@ class Ledger:
     def from_json(cls, text: str) -> "Ledger":
         return cls.from_dict(read_json(text))
 
-    def __repr__(self):
-        items = (f"{item.name}={literal(getattr(self, item.name))}" for item in fields(self))
-        return f"Ledger({', '.join(items)})"
+    __repr__ = literal
 
 
 def _unique_keys(pairs: list) -> dict:

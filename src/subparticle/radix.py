@@ -19,6 +19,7 @@ take, so no conversion here depends on that setting and none changes it.
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -141,13 +142,18 @@ def rational_to_decimal(value: Fraction) -> str:
 
 def literal(value) -> str:
     """``repr(value)`` at any size: an int, a Fraction and a tuple of either
-    are written through ``to_decimal``, anything else by its own ``repr``."""
+    are written through ``to_decimal``, a dataclass instance in the generated
+    repr's form with each shown field by ``literal``, anything else by its
+    own ``repr``.  So a dataclass may take ``__repr__ = literal``."""
     if type(value) is int:
         return to_decimal(value)
     if type(value) is Fraction:
         return f"Fraction({to_decimal(value.numerator)}, {to_decimal(value.denominator)})"
     if type(value) is tuple:
         return f"({', '.join(map(literal, value))}{',' if len(value) == 1 else ''})"
+    if is_dataclass(type(value)):
+        shown = (f"{item.name}={literal(getattr(value, item.name))}" for item in fields(value) if item.repr)
+        return f"{type(value).__qualname__}({', '.join(shown)})"
     return repr(value)
 
 

@@ -598,9 +598,20 @@ def test_strided_operands_pack_one_digit_per_step(monkeypatch):
     assert dict((binomial**32).terms) == expected
     assert packed == [2]
     packed.clear()
-    x, y = hr({1 + 4 * k: k + 1 for k in range(5)}), hr({0: 1, 6: -1})  # strides 4 and 6 pack at 2
+    x, y = hr({1 + 4 * k: k + 1 for k in range(7)}), hr({0: 1, 6: -1})  # strides 4 and 6 pack at 2
     assert dict((x * y).terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
-    assert packed == [9, 4]
+    assert packed == [13, 4]
+
+
+def test_dense_products_pack_from_four_by_four(monkeypatch):
+    packed, pack = [], hyperreal._pack
+    monkeypatch.setattr(hyperreal, "_pack", lambda digits, width: packed.append(len(digits)) or pack(digits, width))
+    x, y = hr({-1: F(1, 2), 0: 3, 2: F(-7, 3)}), hr({-3: 5, 1: F(2, 9), 3: -1})
+    assert dict((x * y).terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
+    assert packed == []  # 3x3 multiplies in the loop
+    x, y = x + hr({1: 4}), y + hr({0: F(1, 7)})
+    assert dict((x * y).terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
+    assert packed == [4, 7]
 
 
 # A power of a monomial is built in closed form, not by products.

@@ -2,13 +2,18 @@
 nesting depth, operator chains of any length, and the caret window; and
 reprs of values past CPython's int-str limit."""
 
+import math
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subparticle.cli import CARET_WINDOW, main
-from subparticle.engine import RealizedVector, bundle, realize
+from subparticle.engine import AffineMap, IntermediateSubparticle, RealizedVector, Ultrasubparticle, bundle, realize
 from subparticle.expr import MAX_DEPTH, NodeKind, ParseError, eval_ast, parse, pretty
 from subparticle.hyperreal import Hyperreal, lambda_for_code
 from subparticle.ledger import Config
@@ -56,6 +61,19 @@ def test_mixed_openers_share_one_depth():
     with pytest.raises(ParseError) as info:
         parse(text + "1" + "))" * 34)
     assert info.value.offset == 5 * 33 + 1  # the "-" of the 34th group is level 101
+
+
+@pytest.mark.parametrize("last", ["-", "(", "st("])
+def test_unary_minus_runs_count_each_minus_with_the_groups(last):
+    openers = [("-", "(", "-", "st(", "-")[i % 5] for i in range(MAX_DEPTH)]  # an even number of "-"
+
+    def nest(openers):
+        return "".join(openers) + "1" + "".join(OPENERS[opener][1] for opener in reversed(openers))
+
+    assert eval_ast(parse(nest(openers)), 10) == Hyperreal.one(10)
+    with pytest.raises(ParseError) as info:
+        parse(nest(openers + [last]))
+    assert (info.value.message, info.value.offset) == (f"nesting exceeds the limit of {MAX_DEPTH}", len("".join(openers)))
 
 
 def test_sibling_groups_do_not_add_up():
@@ -108,6 +126,39 @@ def test_long_mixed_chain_matches_a_left_fold():
         tree = parse(text)
         assert eval_ast(tree, 10) == Hyperreal.from_rational(10, expected)
         assert parse(pretty(tree)) == tree
+
+
+# A run of ``*`` is multiplied as a balanced tree; the ring is exact, so its
+# value is the left fold's, and so is every error, as each factor is evaluated
+# in order first.
+FACTORS = ["(1+eps)", "(H-2)", "3/4", "eps", "(2*H)^-1", "-H", "(st(1+eps))", "(1/2 - eps^2 + H)", "0", "-2"]
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("+-"), st.lists(st.sampled_from(FACTORS), min_size=1, max_size=12)),
+                min_size=1, max_size=4))
+def test_star_runs_equal_a_left_fold(terms):
+    text = "*".join(terms[0][1]) + "".join(sign + "*".join(run) for sign, run in terms[1:])
+    folded = [reduce(operator.mul, [eval_ast(parse(factor), 10) for factor in run]) for _, run in terms]
+    expected = folded[0]
+    for (sign, _), value in zip(terms[1:], folded[1:]):
+        expected = expected + value if sign == "+" else expected - value
+    assert eval_ast(parse(text), 10) == expected
+    if expected.is_finite():
+        assert eval_ast(parse(f"st({text})"), 10) == expected.st()
+
+
+def test_a_long_star_run_multiplies_operands_of_balanced_size(monkeypatch):
+    n, sizes, mul = 1500, [], Hyperreal.__mul__
+    expected = eval_ast(parse(f"(1+eps)^{n}"), 10)
+
+    def record(x, y):
+        sizes.append(max(len(x.terms), len(y.terms)))
+        return mul(x, y)
+
+    monkeypatch.setattr(Hyperreal, "__mul__", record)
+    assert eval_ast(parse("*".join(["(1+eps)"] * n)), 10) == expected
+    assert len(sizes) == n - 1 and sum(sizes) <= n * math.log2(n)  # a left fold's is about n*n/2
 
 
 def test_chain_keeps_left_associativity():
@@ -169,6 +220,20 @@ def test_reprs_past_the_int_str_limit_return():
     assert str(Hyperreal.generator(10) ** 10**5000) == f"H^1{'0' * 5000}"
 
 
+def test_particle_config_and_map_reprs_past_the_int_str_limit():
+    base, digits = 10**5000, "1" + "0" * 5000
+    particle = Ultrasubparticle(base, 3)
+    assert repr(particle) == f"Ultrasubparticle(base={digits}, dims=3, naming=0, signs=(1,))"
+    assert repr(Config(base=base, dims=3)) == (
+        f"Config(base={digits}, dims=3, alphabet='abcdefghijklmnopqrstuvwxyz ', bundle_coordinate=3, quality_signs='+')"
+    )
+    zero, one, eps = (f"Hyperreal({digits}, '{text}')" for text in ("0", "1", "eps"))
+    assert repr(IntermediateSubparticle(base, particle.coords())) == (
+        f"IntermediateSubparticle(base={digits}, coords=({zero}, {one}, {eps}))"
+    )
+    assert repr(AffineMap(base, (Hyperreal.zero(base),) * 3)) == f"AffineMap(base={digits}, translation=({zero}, {zero}, {zero}))"
+
+
 def test_reprs_of_small_values_are_unchanged():
     assert repr(run_pipeline("ab", Config(dims=3))) == (
         "Ledger(config=Config(base=10, dims=3, alphabet='abcdefghijklmnopqrstuvwxyz ', bundle_coordinate=3, "
@@ -188,4 +253,15 @@ def test_reprs_of_small_values_are_unchanged():
         "span=(8, 3))), value=None, span=(6, 5))), value=None, span=(0, 11))"
     )
     assert repr(Hyperreal(2, {3: Fraction(1, 2), -2: -5})) == "Hyperreal(2, '1/2*H^3 - 5*eps^2')"
+    assert repr(Ultrasubparticle(10, 4, naming=7)) == "Ultrasubparticle(base=10, dims=4, naming=7, signs=(1, -1))"
+    assert repr(Config(base=2, dims=4, quality_signs="-+")) == (
+        "Config(base=2, dims=4, alphabet='abcdefghijklmnopqrstuvwxyz ', bundle_coordinate=3, quality_signs='-+')"
+    )
+    zero, count, eps = Hyperreal.zero(10), Hyperreal.generator(10) * 3, Hyperreal.epsilon(10)
+    assert repr(IntermediateSubparticle(10, (zero, count, eps))) == (
+        "IntermediateSubparticle(base=10, coords=(Hyperreal(10, '0'), Hyperreal(10, '3*H'), Hyperreal(10, 'eps')))"
+    )
+    assert repr(AffineMap(10, (zero, count, -eps))) == (
+        "AffineMap(base=10, translation=(Hyperreal(10, '0'), Hyperreal(10, '3*H'), Hyperreal(10, '-eps')))"
+    )
     assert str(Hyperreal.generator(10) ** 12) == "H^12"
