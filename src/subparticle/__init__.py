@@ -29,12 +29,11 @@ from .hyperreal import (
     Hypernatural,
     Hyperreal,
     InfiniteValueError,
-    Rational,
     hyperfinite_constant_sum,
     lambda_for_code,
 )
 from .ledger import LEDGER_VERSION, Config, Ledger, LedgerError
-from .pipeline import IntegrityError, recompute_decoded, run_pipeline, verify_ledger
+from .pipeline import IntegrityError, run_pipeline, verify_ledger
 
 __version__ = "0.1.0"
 
@@ -59,7 +58,6 @@ __all__ = [
     "NodeKind",
     "ParseError",
     "QualitySpec",
-    "Rational",
     "RealizedVector",
     "SymbolNotInAlphabetError",
     "Ultrasubparticle",
@@ -77,7 +75,6 @@ __all__ = [
     "pretty",
     "quality_bundle",
     "realize",
-    "recompute_decoded",
     "run_pipeline",
     "verify_ledger",
 ]

@@ -213,6 +213,7 @@ class QualitySpec:
 
     entries: tuple[tuple[int, Hypernatural], ...]
     tail_scale: int | None = None
+    __repr__ = literal
 
     def __post_init__(self):
         entries = tuple((coord, count) for coord, count in self.entries)

@@ -39,7 +39,6 @@ from typing import Union
 
 from .radix import brief, check_natural, rational_to_decimal, to_decimal
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 _ZERO = Fraction(0)
@@ -87,26 +86,23 @@ def _check_exponent(exp) -> None:
 class Hyperreal:
     """Finite Laurent combination in H = B**omega with rational coefficients.
 
-    ``terms`` maps the exponent k to the coefficient of H**k.  Zero
-    coefficients are never stored, so the zero value has an empty term map
-    and equality is plain structural equality.  Values carry their base and
-    never interoperate across bases.
+    ``terms`` maps the exponent k to the coefficient of H**k, the form the
+    constructor takes.  Zero coefficients are never stored, so the zero
+    value has an empty term map and equality is plain structural equality.
+    Values carry their base and never interoperate across bases.
     """
 
     __slots__ = ("_base", "_terms")
 
-    def __init__(self, base: int, terms=None):
+    def __init__(self, base: int, terms: Mapping[int, RationalLike] | None = None):
         _check_base(base)
-        clean: dict[int, Fraction] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for exp, coeff in items:
-                _check_exponent(exp)
-                value = clean.get(exp, _ZERO) + _as_fraction(coeff)
-                if value:
-                    clean[exp] = value
-                else:
-                    clean.pop(exp, None)
+        if terms is not None and not isinstance(terms, Mapping):
+            raise TypeError(f"terms must map exponents to coefficients, got {type(terms).__name__}")
+        clean = {}
+        for exp, coeff in (terms or {}).items():
+            _check_exponent(exp)
+            if value := _as_fraction(coeff):
+                clean[exp] = value
         self._base = base
         self._terms = clean
 

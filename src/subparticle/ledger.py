@@ -19,7 +19,8 @@ slots the run moves, so ``_vector_json`` and ``_parse_vector`` write or read
 only those slots when every other one holds its own entry exactly, and every
 entry otherwise.  ``json.dumps(ledger.to_dict(), indent=2)`` equals
 ``ledger.to_json()`` byte for byte.  ``Config.from_dict`` keeps its last 64
-configs, keyed by five settings of exact type, so ledgers share them.
+configs, keyed by five settings of exact type, so ledgers share them.  The
+bundled sign is ``config.bundle_sign``: a ledger writes it as text only.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 from operator import is_
 
 from .codec import DEFAULT_ALPHABET, Alphabet
-from .engine import RealizedVector, Ultrasubparticle, _check_coord
+from .engine import RealizedVector, Ultrasubparticle
 from .hyperreal import _ZERO, Hypernatural, Hyperreal, _check_exponent, _trusted
 from .radix import brief, check_natural, decimal_value, is_decimal, literal
 from .radix import parse_rational, rational_to_decimal, to_decimal
@@ -61,7 +62,8 @@ class Config:
 
     ``codec_alphabet`` and ``particle`` are the Alphabet and the
     Ultrasubparticle the settings describe, built once; their constructors
-    are the checks of the settings.  ``signs`` is the particle's layout.
+    are the checks of the settings.  ``bundle_sign`` is the particle's sign
+    of the bundled coordinate, looked up once by ``Ultrasubparticle.sign``.
     ``table`` holds its ledgers' three vector fields as a run leaves them
     (see ``_Vector``), built on the first ledger the config writes or reads;
     slots share one text and one JSON value per distinct entry (<= 4)."""
@@ -73,7 +75,7 @@ class Config:
     quality_signs: str = ""
     codec_alphabet: Alphabet = field(init=False, repr=False, compare=False)
     particle: Ultrasubparticle = field(init=False, repr=False, compare=False)
-    signs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    bundle_sign: int = field(init=False, repr=False, compare=False)
     __repr__ = literal
 
     def __post_init__(self):
@@ -83,18 +85,13 @@ class Config:
         signs = tuple(_SIGN_VALUES.get(ch, 0) for ch in text) if text else None  # the particle refuses 0
         particle = Ultrasubparticle(self.base, self.dims, signs=signs)
         object.__setattr__(self, "particle", particle)
-        object.__setattr__(self, "signs", particle.signs)
         object.__setattr__(self, "codec_alphabet", Alphabet(self.alphabet))
         try:
-            _check_coord(self.bundle_coordinate, self.dims)
+            object.__setattr__(self, "bundle_sign", particle.sign(self.bundle_coordinate))
         except IndexError as exc:
             raise ValueError(f"bundle_coordinate: {exc}") from None
         if not text:
             object.__setattr__(self, "quality_signs", "".join("+" if s == 1 else "-" for s in particle.signs))
-
-    @property
-    def bundle_sign(self) -> int:
-        return self.signs[self.bundle_coordinate - 3]
 
     @cached_property
     def table(self) -> tuple[_Vector, _Vector, _Vector]:
@@ -128,9 +125,9 @@ class Ledger:
     """Complete record of one encode run, replayable and checkable: the
     config and one field per pipeline stage.  The document's ``version``,
     ``sequence_head`` (the head of the run's partial-sequence class, always
-    the code) and ``bundle_sign`` (the config's sign of the bundled
-    coordinate) follow from these, so they are written and checked but not
-    stored.
+    the code) and ``bundle_sign`` (``config.bundle_sign`` as ``+`` or
+    ``-``) follow from these, so they are written and checked but are not
+    attributes of the ledger.
     """
 
     config: Config
@@ -141,10 +138,6 @@ class Ledger:
     intermediate: tuple[Hyperreal, ...]
     realized: tuple[Fraction, ...]
     decoded: str
-
-    @property
-    def bundle_sign(self) -> int:
-        return self.config.bundle_sign
 
     def to_dict(self) -> dict:
         return read_json(self.to_json())

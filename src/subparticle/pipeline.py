@@ -1,8 +1,9 @@
 """End-to-end runs: encode a word, bundle it, realize it, decode it back.
 
 ``STAGES`` describes the pipeline once.  ``run_pipeline`` runs it on a
-word, ``recompute_decoded`` runs its last two stages on a ledger's stored
-``intermediate``, and ``verify_ledger`` checks every stored field.
+word and ``verify_ledger``, the package's one ledger check, checks every
+stored field.  ``recompute_decoded``, not exported and kept for the
+benchmark until ROADMAP item 4, runs the last two stages on a ledger.
 """
 
 from __future__ import annotations

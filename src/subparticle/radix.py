@@ -19,7 +19,7 @@ take, so no conversion here depends on that setting and none changes it.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -141,17 +141,19 @@ def rational_to_decimal(value: Fraction) -> str:
 
 
 def literal(value) -> str:
-    """``repr(value)`` at any size: an int, a Fraction and a tuple of either
-    are written through ``to_decimal``, a dataclass instance in the generated
-    repr's form with each shown field by ``literal``, anything else by its
-    own ``repr``.  So a dataclass may take ``__repr__ = literal``."""
+    """``repr(value)`` at any size: an int and a Fraction through
+    ``to_decimal``, a tuple and a list item by item, an instance of a
+    dataclass that takes ``__repr__ = literal`` in the generated repr's form
+    field by field, and anything else by its own ``repr``."""
     if type(value) is int:
         return to_decimal(value)
     if type(value) is Fraction:
         return f"Fraction({to_decimal(value.numerator)}, {to_decimal(value.denominator)})"
     if type(value) is tuple:
         return f"({', '.join(map(literal, value))}{',' if len(value) == 1 else ''})"
-    if is_dataclass(type(value)):
+    if type(value) is list:
+        return f"[{', '.join(map(literal, value))}]"
+    if type(value).__repr__ is literal:
         shown = (f"{item.name}={literal(getattr(value, item.name))}" for item in fields(value) if item.repr)
         return f"{type(value).__qualname__}({', '.join(shown)})"
     return repr(value)
@@ -212,12 +214,12 @@ BRIEF_LIMIT = 40
 def brief(value) -> str:
     """``repr(value)`` for an error message, cut to its first ``BRIEF_LIMIT``
     characters plus the total length when it is longer: a string's own
-    characters, any other value's text.  A huge input never makes a huge message."""
+    characters, any other value's ``literal`` text.  A huge input never makes a huge message."""
     if isinstance(value, str):
         return repr(value) if len(value) <= BRIEF_LIMIT else f"{value[:BRIEF_LIMIT]!r}... ({len(value)} characters)"
     try:
-        text = to_decimal(value) if type(value) is int else repr(value)
-    except RecursionError:  # a container nested too deep for repr
+        text = literal(value)
+    except RecursionError:  # a container nested too deep to quote
         text = f"<{type(value).__name__} nested too deeply to quote>"
     return text if len(text) <= BRIEF_LIMIT else f"{text[:BRIEF_LIMIT]}... ({len(text)} characters)"
 

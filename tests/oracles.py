@@ -158,7 +158,7 @@ def ledger_document(ledger):
             "infinite": any(exp > 0 for exp in terms),
             "degenerate": not terms,
         },
-        "bundle_sign": {1: "+", -1: "-"}[config.signs[config.bundle_coordinate - 3]],
+        "bundle_sign": config.quality_signs[config.bundle_coordinate - 3],
         "ultrasubparticle": [triples(entry) for entry in ledger.ultrasubparticle],
         "intermediate": [triples(entry) for entry in ledger.intermediate],
         "realized": [str(Fraction(entry)) for entry in ledger.realized],

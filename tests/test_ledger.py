@@ -38,12 +38,13 @@ class TestConfig:
 
     def test_sign_tuple_is_parsed_once_from_the_string(self):
         config = Config(dims=6, quality_signs="--++")
-        assert config.signs == (-1, -1, 1, 1)
+        assert config.particle.signs == (-1, -1, 1, 1)
         assert config.bundle_sign == -1
-        assert Config().signs == (1, -1, 1, -1, 1, -1)
-        # The parsed tuple is derived, so it takes no part in equality.
+        assert Config().particle.signs == (1, -1, 1, -1, 1, -1)
+        # The particle and its bundled sign are derived, so they take no part in equality.
         assert Config(dims=5) == Config(dims=5, quality_signs="+-+")
-        assert "signs=(" not in repr(Config())
+        assert "signs=(" not in repr(Config()) and "bundle_sign" not in repr(Config())
+        assert not hasattr(config, "signs")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -109,7 +110,7 @@ class TestLedgerRoundTrip:
         config = Config(base=2, dims=6, alphabet="xyz ", bundle_coordinate=4, quality_signs="-+-+")
         ledger = run_pipeline("zzy x", config)
         assert ledger.decoded == "zzy x"
-        assert ledger.bundle_sign == 1
+        assert ledger.config.bundle_sign == 1
         assert Ledger.from_json(ledger.to_json()) == ledger
 
     def test_emitted_fields(self):
@@ -126,7 +127,8 @@ class TestLedgerRoundTrip:
     def test_negative_sign_coordinate_realizes_negated(self):
         config = Config(bundle_coordinate=4)  # default signs make coordinate 4 negative
         ledger = run_pipeline("ab", config)
-        assert ledger.bundle_sign == -1
+        assert ledger.config.bundle_sign == -1
+        assert not hasattr(ledger, "bundle_sign")
         assert ledger.realized[3] == Fraction(-29)
         assert ledger.decoded == "ab"
         assert Ledger.from_json(ledger.to_json()) == ledger

@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subparticle.cli import CARET_WINDOW, main
-from subparticle.engine import AffineMap, IntermediateSubparticle, RealizedVector, Ultrasubparticle, bundle, realize
+from subparticle.engine import (
+    AffineMap,
+    IntermediateSubparticle,
+    QualitySpec,
+    RealizedVector,
+    Ultrasubparticle,
+    bundle,
+    realize,
+)
 from subparticle.expr import MAX_DEPTH, NodeKind, ParseError, eval_ast, parse, pretty
 from subparticle.hyperreal import Hyperreal, lambda_for_code
 from subparticle.ledger import Config
@@ -232,6 +240,7 @@ def test_particle_config_and_map_reprs_past_the_int_str_limit():
         f"IntermediateSubparticle(base={digits}, coords=({zero}, {one}, {eps}))"
     )
     assert repr(AffineMap(base, (Hyperreal.zero(base),) * 3)) == f"AffineMap(base={digits}, translation=({zero}, {zero}, {zero}))"
+    assert repr(QualitySpec(entries=(), tail_scale=base)) == f"QualitySpec(entries=(), tail_scale={digits})"
 
 
 def test_reprs_of_small_values_are_unchanged():
@@ -264,4 +273,5 @@ def test_reprs_of_small_values_are_unchanged():
     assert repr(AffineMap(10, (zero, count, -eps))) == (
         "AffineMap(base=10, translation=(Hyperreal(10, '0'), Hyperreal(10, '3*H'), Hyperreal(10, '-eps')))"
     )
+    assert repr(QualitySpec(entries=())) == "QualitySpec(entries=(), tail_scale=None)"
     assert str(Hyperreal.generator(10) ** 12) == "H^12"

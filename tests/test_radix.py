@@ -266,6 +266,13 @@ def test_brief_cuts_an_int_by_its_decimal_text(n, negative):
     assert brief(-n if negative else n) == cut(text, str)
 
 
+def test_brief_quotes_huge_ints_inside_containers_briefly():
+    huge = 10**5000
+    assert brief((huge,)) == f"(1{'0' * 38}... (5004 characters)"
+    assert brief([huge]) == f"[1{'0' * 38}... (5003 characters)"
+    assert brief(Fraction(huge, 3)) == f"Fraction(1{'0' * 30}... (5014 characters)"
+
+
 def test_brief_cuts_any_other_value_by_its_repr():
     assert brief(["x"] * 3) == "['x', 'x', 'x']"
     assert brief(["x"] * 10) == f"{repr(['x'] * 10)[:40]}... (50 characters)"

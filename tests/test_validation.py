@@ -79,6 +79,9 @@ LIBRARY_ONLY = [
     (lambda: Hypernatural.from_int(True, 10), "n must be a nonnegative integer, got True"),
     (lambda: Ultrasubparticle(10, 4, naming=False), "naming must be a nonnegative integer, got False"),
     (lambda: QualitySpec(entries=(), tail_scale=True), "tail_scale must be a nonnegative integer, got True"),
+    # a huge int inside a container is quoted briefly too, not by repr past the int-str limit
+    (lambda: Ultrasubparticle(10, (HUGE,)), "dims must be an integer >= 3 and at most 4096, got (-1000"),
+    (lambda: Alphabet((HUGE,)), "alphabet must be a nonempty string, got (-1000"),
 ]
 
 # The same, for values of a type the library refuses with a TypeError.
@@ -93,6 +96,7 @@ LIBRARY_ONLY_TYPES = [
     # a bool is not an exponent, though it is an int
     (lambda: Hyperreal.monomial(10, 1, True), "exponent must be an integer, got True"),
     (lambda: Hyperreal(10, {False: 1}), "exponent must be an integer, got False"),
+    (lambda: Hyperreal(10, {(HUGE,): 1}), "exponent must be an integer, got (-1000"),
     (lambda: Hyperreal.one(10).monomial_div(1, True), "exponent must be an integer, got True"),
     (lambda: Hyperreal.generator(10) ** True, "unsupported operand type(s) for ** or pow(): 'Hyperreal' and 'bool'"),
 ]
@@ -217,7 +221,7 @@ def test_config_holds_the_particle_and_alphabet_it_describes():
     config = Config(base=2, dims=6, alphabet="xyz", bundle_coordinate=4, quality_signs="-+-+")
     assert config.particle == Ultrasubparticle(2, 6, signs=(-1, 1, -1, 1))
     assert config.codec_alphabet == Alphabet("xyz")
-    assert config.signs == (-1, 1, -1, 1) and config.bundle_sign == 1
+    assert config.particle.signs == (-1, 1, -1, 1) and config.bundle_sign == 1
     assert Config.from_dict(config.to_dict()) == config
     assert list(config.to_dict()) == ["base", "dims", "alphabet", "bundle_coordinate", "quality_signs"]
 
