@@ -50,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice
 
-from .hyperreal import _ONE, _ZERO, Hyperreal, _check_base, _trusted
+from .hyperreal import _ONE, _ZERO, Hyperreal, _check_base, _coefficient, _trusted
 from .radix import brief, decimal_value, literal, to_decimal
 
 
@@ -224,7 +224,7 @@ class _Parser:
                 denominator = decimal_value(den)
                 if denominator == 0:
                     raise ParseError("malformed rational: denominator must be positive", offset)
-                node = ExprAst(_RAT_LIT, (), Fraction(decimal_value(text), denominator), (start, offset + len(den) - start))
+                node = ExprAst(_RAT_LIT, (), _coefficient(decimal_value(text), denominator), (start, offset + len(den) - start))
             else:
                 node = ExprAst(_INT_LIT, (), decimal_value(text), (start, len(text)))
         elif kind == "name" and text == "eps":
@@ -313,7 +313,7 @@ def _eval(node: ExprAst, base: int, standard: bool = False) -> Hyperreal | Fract
     Leaves are built unchecked: ``eval_ast`` has checked the base."""
     kind = node.kind
     if kind is _INT_LIT or kind is _RAT_LIT:
-        value = node.value if kind is _RAT_LIT else Fraction(node.value)
+        value = node.value if kind is _RAT_LIT else _coefficient(node.value, 1)
         return value if standard else _trusted(base, {0: value} if value else {})
     if kind is _EPS:
         return _ZERO if standard else _trusted(base, {-1: _ONE})

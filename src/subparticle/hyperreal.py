@@ -17,15 +17,14 @@ shared freely between threads.  A value's wire form, its
 v1, so ``ledger.py`` alone writes and reads it.
 
 Monomial powers are closed form for every integer k, negative ones too:
-``(c*H**e)**k = c**k * H**(e*k)``.  Dense products and powers (exponent
-span below ``_DENSE_SPAN`` times the term count) pack each operand over
-its common denominator into one int, one fixed-width digit per stride
-step (the gcd of the exponent gaps), and take one int product or power
-(Kronecker substitution; Harvey, arXiv:0712.4046).  A packed int is at
-most a small constant times the bit size of the cleared operands plus the
-result.  A product packs only from ``_PACK_MIN_TERMS`` term pairs: on small
-rational operands the loop is as fast up to 3x4 and 2x6, and packing wins
-from 2x7, 3x5 and 4x4.  Other products loop over the terms; all agree.
+``(c*H**e)**k = c**k * H**(e*k)``.  Other products and powers clear each
+operand to integer numerators over its common denominator and build each
+coefficient once, with one gcd.  Dense ones (span below ``_DENSE_SPAN``
+times the term count) pack the numerators into one int of a few times
+their bits, a fixed-width digit per stride step (the gcd of the exponent
+gaps), for one int product or power (Kronecker; Harvey, arXiv:0712.4046),
+from ``_PACK_MIN_TERMS`` term pairs for a product: on small rationals the
+loop is faster up to 12x12, even at 14x14 and 10x20, slower from 15x15.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ RationalLike = Union[Fraction, int]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _DENSE_SPAN = 4  # see the module docstring
-_PACK_MIN_TERMS = 13  # fewer term pairs than this multiply as fast or faster in the loop
+_PACK_MIN_TERMS = 200  # fewer term pairs than this multiply as fast or faster in the loop
 
 
 class BaseMismatchError(ValueError):
@@ -208,18 +207,20 @@ class Hyperreal:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        right = rhs._terms.items()
+        right = rhs._terms
         if len(right) == 1:  # a monomial factor: exponents stay distinct, nothing cancels
-            ((ey, cy),) = right
-            return _trusted(self._base, {ex + ey: cx * cy for ex, cx in self._terms.items()})
-        if len(self._terms) * len(right) >= _PACK_MIN_TERMS and _dense(self._terms) and _dense(rhs._terms):
-            return _trusted(self._base, _packed_product(self._terms, rhs._terms))
-        acc: dict[int, Fraction] = {}
-        for ex, cx in self._terms.items():
-            for ey, cy in right:
+            ((ey, cy),) = right.items()
+            unit = cy == 1  # H^k and eps^k only shift the exponents
+            return _trusted(self._base, {ex + ey: cx if unit else cx * cy for ex, cx in self._terms.items()})
+        if len(self._terms) * len(right) >= _PACK_MIN_TERMS and _dense(self._terms) and _dense(right):
+            return _trusted(self._base, _packed_product(self._terms, right))
+        (den_x, xs), (den_y, ys) = _numerators(self._terms), _numerators(right)
+        acc, den = {}, den_x * den_y
+        for ex, nx in xs.items():
+            for ey, ny in ys.items():
                 exp = ex + ey
-                acc[exp] = acc[exp] + cx * cy if exp in acc else cx * cy
-        return _trusted(self._base, {exp: coeff for exp, coeff in acc.items() if coeff})
+                acc[exp] = acc[exp] + nx * ny if exp in acc else nx * ny
+        return _trusted(self._base, {exp: _coefficient(num, den) for exp, num in acc.items() if num})
 
     __rmul__ = __mul__
 
@@ -316,13 +317,23 @@ def _stride(*maps: dict) -> int:
     return math.gcd(*[exp - low for terms in maps for low in [min(terms)] for exp in terms])
 
 
+def _coefficient(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for ``d > 0`` with one gcd: the slots are set directly, skipping ``Fraction.__new__``'s checks."""
+    common, value = math.gcd(n, d), object.__new__(Fraction)
+    value._numerator, value._denominator = n // common, d // common
+    return value
+
+
+def _numerators(terms: dict) -> tuple[int, dict[int, int]]:
+    """The common denominator of the coefficients, and each exponent's numerator over it."""
+    den = math.lcm(*[coeff.denominator for coeff in terms.values()])
+    return den, {exp: coeff.numerator * (den // coeff.denominator) for exp, coeff in terms.items()}
+
+
 def _cleared(terms: dict, stride: int) -> tuple[int, list[int], int]:
     """The lowest exponent, one integer digit per ``stride`` step from it up, and their common denominator."""
-    den, low = math.lcm(*[coeff.denominator for coeff in terms.values()]), min(terms)
-    digits = [0] * ((max(terms) - low) // stride + 1)
-    for exp, coeff in terms.items():
-        digits[(exp - low) // stride] = coeff.numerator * (den // coeff.denominator)
-    return low, digits, den
+    (den, numerators), low = _numerators(terms), min(terms)
+    return low, [numerators.get(exp, 0) for exp in range(low, max(terms) + 1, stride)], den
 
 
 def _pack(digits: list[int], width: int) -> int:
@@ -339,7 +350,7 @@ def _unpack(value: int, count: int, width: int, low: int, stride: int, den: int)
     zero = half.to_bytes(width, "little")
     raw = (value + int.from_bytes(zero * count, "little")).to_bytes(count * width, "little")
     digits = [raw[i : i + width] for i in range(0, count * width, width)]
-    return {low + stride * i: Fraction(int.from_bytes(d, "little") - half, den) for i, d in enumerate(digits) if d != zero}
+    return {low + stride * i: _coefficient(int.from_bytes(d, "little") - half, den) for i, d in enumerate(digits) if d != zero}
 
 
 def _packed_product(left: dict, right: dict) -> dict:

@@ -142,9 +142,9 @@ def rational_to_decimal(value: Fraction) -> str:
 
 def literal(value) -> str:
     """``repr(value)`` at any size: an int and a Fraction through
-    ``to_decimal``, a tuple and a list item by item, an instance of a
-    dataclass that takes ``__repr__ = literal`` in the generated repr's form
-    field by field, and anything else by its own ``repr``."""
+    ``to_decimal``, a tuple, list, set, frozenset and dict item by item, an
+    instance of a dataclass that takes ``__repr__ = literal`` in the
+    generated repr's form field by field, and anything else by its repr."""
     if type(value) is int:
         return to_decimal(value)
     if type(value) is Fraction:
@@ -153,6 +153,10 @@ def literal(value) -> str:
         return f"({', '.join(map(literal, value))}{',' if len(value) == 1 else ''})"
     if type(value) is list:
         return f"[{', '.join(map(literal, value))}]"
+    if type(value) is dict:
+        return f"{{{', '.join(f'{literal(key)}: {literal(item)}' for key, item in value.items())}}}"
+    if type(value) in (set, frozenset) and value:  # an empty one is quoted by its repr
+        return ("{%s}" if type(value) is set else "frozenset({%s})") % ", ".join(map(literal, value))
     if type(value).__repr__ is literal:
         shown = (f"{item.name}={literal(getattr(value, item.name))}" for item in fields(value) if item.repr)
         return f"{type(value).__qualname__}({', '.join(shown)})"

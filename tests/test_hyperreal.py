@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subparticle import hyperreal
@@ -20,9 +22,11 @@ from subparticle.hyperreal import (
     lambda_for_code,
 )
 from subparticle.cli import main
+from subparticle.expr import eval_ast, parse
 from subparticle.ledger import Ledger, LedgerError
 from subparticle.pipeline import run_pipeline
 
+import oracles
 from oracles import convolve_terms, random_hyperreal, repeated_addition
 
 F = Fraction
@@ -558,7 +562,8 @@ def test_sparse_operands_never_pack(monkeypatch):
     assert (far + 1) * (far - 1) == hr({200000: 1, 0: -1})
     assert (far + 1) ** 3 == hr({300000: 1, 200000: 3, 100000: 3, 0: 1})
     assert (far + eps) * (h + 1) == hr({100001: 1, 100000: 1, 0: 1, -1: 1})
-    wide, narrow = far + h + 1, far - h + 1  # enough terms to pack, but too wide a span
+    near = hr({k: k + 1 for k in range(15)})
+    wide, narrow = far + near, far - near  # enough terms to pack, but too wide a span
     assert dict((wide * narrow).terms) == convolve_terms(list(wide.terms.items()), list(narrow.terms.items()))
 
 
@@ -598,20 +603,101 @@ def test_strided_operands_pack_one_digit_per_step(monkeypatch):
     assert dict((binomial**32).terms) == expected
     assert packed == [2]
     packed.clear()
-    x, y = hr({1 + 4 * k: k + 1 for k in range(7)}), hr({0: 1, 6: -1})  # strides 4 and 6 pack at 2
+    x, y = hr({1 + 4 * k: k + 1 for k in range(100)}), hr({0: 1, 6: -1})  # strides 4 and 6 pack at 2
     assert dict((x * y).terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
-    assert packed == [13, 4]
+    assert packed == [199, 4]
 
 
-def test_dense_products_pack_from_four_by_four(monkeypatch):
+def test_dense_products_pack_from_two_hundred_term_pairs(monkeypatch):
     packed, pack = [], hyperreal._pack
     monkeypatch.setattr(hyperreal, "_pack", lambda digits, width: packed.append(len(digits)) or pack(digits, width))
-    x, y = hr({-1: F(1, 2), 0: 3, 2: F(-7, 3)}), hr({-3: 5, 1: F(2, 9), 3: -1})
+    x, y = hr({k: F(k, 7) + 1 for k in range(-5, 6)}), hr({k: F(k + 1, 3) + 5 for k in range(-9, 9)})
     assert dict((x * y).terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
-    assert packed == []  # 3x3 multiplies in the loop
-    x, y = x + hr({1: 4}), y + hr({0: F(1, 7)})
+    assert packed == []  # 11x18 multiplies in the loop; no two operands make 199 pairs
+    x, y = x - hr({5: x.terms[5]}), y + hr({9: F(1, 7), 10: -2})
     assert dict((x * y).terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
-    assert packed == [4, 7]
+    assert packed == [10, 20]
+
+
+@settings(deadline=None)
+@given(dense_maps | strided_maps, dense_maps | strided_maps)
+def test_packed_products_match_the_naive_convolution(xs, ys):
+    x, y = Hyperreal(10, xs), Hyperreal(10, ys)
+    if hyperreal._dense(x._terms) and hyperreal._dense(y._terms):
+        assert hyperreal._packed_product(x._terms, y._terms) == convolve_terms(list(xs.items()), list(ys.items()))
+
+
+# -- coefficients built from ints ---------------------------------------------
+#
+# Products, powers and literals build each coefficient with ``_coefficient``,
+# which writes a Fraction's two slots directly.  It must give what
+# ``Fraction(n, d)`` gives on every supported Python: the same type, value,
+# hash and lowest terms.
+
+huge = 10**5000
+
+
+@settings(deadline=None)
+@example(0, 5, 1)
+@example(-6, 4, 1)
+@example(7, 1, 1)
+@example(-huge - 1, 1, 3)
+@example(huge + 1, 3 * 10**4999, 7 * huge)
+@given(
+    st.integers(min_value=-10**6, max_value=10**6) | st.integers(min_value=-huge, max_value=huge),
+    st.integers(min_value=1, max_value=10**6) | st.integers(min_value=1, max_value=huge),
+    st.integers(min_value=1, max_value=10**6) | st.integers(min_value=1, max_value=huge),
+)
+def test_coefficient_is_the_fraction_in_lowest_terms(numerator, denominator, common):
+    for n, d in ((numerator, denominator), (numerator * common, denominator * common)):
+        built, expected = hyperreal._coefficient(n, d), Fraction(n, d)
+        assert type(built) is Fraction
+        assert built == expected and hash(built) == hash(expected)
+        assert (built.numerator, built.denominator) == (expected.numerator, expected.denominator)
+
+
+def assert_lowest_terms(value):
+    for coeff in value.terms.values():
+        assert type(coeff) is Fraction and coeff
+        assert coeff.denominator > 0 and math.gcd(coeff.numerator, coeff.denominator) == 1
+
+
+def test_computed_coefficients_are_in_lowest_terms(monkeypatch):
+    packed, pack = [], hyperreal._pack
+    monkeypatch.setattr(hyperreal, "_pack", lambda digits, width: packed.append(len(digits)) or pack(digits, width))
+    rng = random.Random(27)
+
+    def operand(count, exps=range(-3, 4)):
+        return hr({exp: F(rng.choice([-1, 1]) * rng.randint(1, 19), rng.randint(1, 9)) for exp in rng.sample(exps, count)})
+
+    side = math.isqrt(hyperreal._PACK_MIN_TERMS) + 1  # side*side term pairs pack
+    pairs = [(operand(a), operand(b)) for a in range(1, 5) for b in range(1, 5)]
+    pairs.append((operand(side, range(-side, side)), operand(side, range(-side, side))))
+    for x, y in pairs:
+        for left, right in ((x, y), (x + y, x - y), (x, -x)):
+            product = left * right
+            assert_lowest_terms(product)
+            assert dict(product.terms) == convolve_terms(list(left.terms.items()), list(right.terms.items()))
+    assert len(packed) == 6  # the last three products packed
+    for k in range(2, 10):
+        x = operand(3)
+        assert_lowest_terms(x**k)
+        assert dict((x**k).terms) == repeated_convolution(x, k)
+    h, eps = Hyperreal.generator(10), Hyperreal.epsilon(10)
+    x = operand(4)
+    for monomial in (h, h**3, eps, eps**2, -eps, F(6, 4) * eps):
+        product = x * monomial
+        assert_lowest_terms(product)
+        assert dict(product.terms) == convolve_terms(list(x.terms.items()), list(monomial.terms.items()))
+    (shift,) = (h**3).terms
+    assert all((x * h**3).terms[exp + shift] is coeff for exp, coeff in x.terms.items())  # a unit factor keeps them
+    for text, value in (("6/4", F(3, 2)), ("0/5", 0), ("007", 7), ("-6/4*eps^2", F(-3, 2)), ("12/18*eps", F(2, 3))):
+        result = eval_ast(parse(text), 10)
+        assert_lowest_terms(result)
+        assert list(result.terms.values()) == ([value] if value else [])
+        standard = eval_ast(parse(f"st({text})"), 10)
+        assert type(standard) is Fraction and math.gcd(standard.numerator, standard.denominator) == 1
+    assert "_coefficient" not in pathlib.Path(oracles.__file__).read_text()  # the oracle stays naive
 
 
 # A power of a monomial is built in closed form, not by products.

@@ -26,6 +26,7 @@ from subparticle.expr import MAX_DEPTH, NodeKind, ParseError, eval_ast, parse, p
 from subparticle.hyperreal import Hyperreal, lambda_for_code
 from subparticle.ledger import Config
 from subparticle.pipeline import run_pipeline
+from subparticle.radix import brief, literal
 
 from oracles import divmod_decimal
 
@@ -241,6 +242,31 @@ def test_particle_config_and_map_reprs_past_the_int_str_limit():
     )
     assert repr(AffineMap(base, (Hyperreal.zero(base),) * 3)) == f"AffineMap(base={digits}, translation=({zero}, {zero}, {zero}))"
     assert repr(QualitySpec(entries=(), tail_scale=base)) == f"QualitySpec(entries=(), tail_scale={digits})"
+
+
+# A dict, set or frozenset is quoted item by item too, so a huge int inside
+# one gives the check's own short message.
+HUGE_IN_CONTAINERS = [
+    (lambda: Config(base={"x": 10**5000}), "base must be an integer >= 2, got {'x': 1000"),
+    (lambda: Hyperreal(10, {frozenset([10**5000]): 1}), "exponent must be an integer, got frozenset({1000"),
+    (lambda: brief({1: 10**5000}), "{1: 1000"),
+    (lambda: brief({10**5000}), "{1000"),
+]
+
+
+@pytest.mark.parametrize("call, start", HUGE_IN_CONTAINERS)
+def test_huge_ints_inside_dicts_and_sets_are_quoted_briefly(call, start):
+    try:
+        message = call()
+    except (TypeError, ValueError) as error:
+        message = str(error)
+    assert message.startswith(start) and message.endswith(" characters)")
+    assert len(message) < 200
+
+
+@pytest.mark.parametrize("value", [set(), frozenset(), frozenset({1, 2}), {1, 2}, {}, {1: 2}, {"a": (1, [2, {3}])}])
+def test_dicts_and_sets_are_quoted_as_repr_quotes_them(value):
+    assert literal(value) == repr(value)
 
 
 def test_reprs_of_small_values_are_unchanged():

@@ -82,6 +82,7 @@ LIBRARY_ONLY = [
     # a huge int inside a container is quoted briefly too, not by repr past the int-str limit
     (lambda: Ultrasubparticle(10, (HUGE,)), "dims must be an integer >= 3 and at most 4096, got (-1000"),
     (lambda: Alphabet((HUGE,)), "alphabet must be a nonempty string, got (-1000"),
+    (lambda: Config(base={"x": HUGE}), "base must be an integer >= 2, got {'x': -1000"),
 ]
 
 # The same, for values of a type the library refuses with a TypeError.
@@ -97,6 +98,7 @@ LIBRARY_ONLY_TYPES = [
     (lambda: Hyperreal.monomial(10, 1, True), "exponent must be an integer, got True"),
     (lambda: Hyperreal(10, {False: 1}), "exponent must be an integer, got False"),
     (lambda: Hyperreal(10, {(HUGE,): 1}), "exponent must be an integer, got (-1000"),
+    (lambda: Hyperreal(10, {frozenset([HUGE]): 1}), "exponent must be an integer, got frozenset({-1000"),
     (lambda: Hyperreal.one(10).monomial_div(1, True), "exponent must be an integer, got True"),
     (lambda: Hyperreal.generator(10) ** True, "unsupported operand type(s) for ** or pow(): 'Hyperreal' and 'bool'"),
 ]
