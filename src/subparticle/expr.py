@@ -39,6 +39,13 @@ in place: it recurses only into ``(`` and ``st(``.  Tree nodes are slotted
 dataclasses, not frozen ones.  ``eval_ast`` checks the base once and then
 builds each leaf unchecked, and multiplies a run of ``*`` as a balanced
 tree of pairwise products, so a long run costs about what a power does.
+A run of ``+`` and ``-`` folds each literal term (``c``, ``c*H^k``,
+``c*eps^k``, ``H^k`` or ``eps^k``, c an int or rational literal, under
+any run of unary ``-``) straight into one exponent-to-coefficient map, in
+source order, and builds one value from it; any other operand is evaluated
+and added as a value.  Standard parts run the same loop and keep only the
+exponent-0 literal terms.  Literal terms cannot fail, so the first error
+in a sum is still that of its first failing operand.
 """
 
 from __future__ import annotations
@@ -327,13 +334,31 @@ def _eval(node: ExprAst, base: int, standard: bool = False) -> Hyperreal | Fract
             return _eval(left, base, standard) * _eval(right, base, standard)
         first, links = _chain(node, (_MUL,))
         return _product([_eval(first, base, standard)] + [_eval(right, base, standard) for _, right in links])
-    if kind is _ADD or kind is _SUB:
+    if kind is _ADD or kind is _SUB:  # literal terms fold into one term map, any other operand adds as a value
         first, links = _chain(node, (_ADD, _SUB))
-        value = _eval(first, base, standard)
-        for op, right in links:
-            right = _eval(right, base, standard)
-            value = value + right if op is _ADD else value - right
-        return value
+        terms, value = {}, None
+        for op, operand in [(_ADD, first), *links]:
+            term = _literal_term(operand, op is _SUB)
+            if term is None:
+                right = _eval(operand, base, standard)
+                right = -right if op is _SUB else right
+                value = right if value is None else value + right
+                continue
+            exp, coeff = term
+            if standard and exp:  # eps^k is 0 there, and H cannot occur
+                continue
+            if exp in terms:
+                coeff = terms[exp] + coeff
+                if coeff:
+                    terms[exp] = coeff
+                else:
+                    del terms[exp]
+            elif coeff:
+                terms[exp] = coeff
+        literal = terms.get(0, _ZERO) if standard else _trusted(base, terms)
+        if value is None:
+            return literal
+        return value + literal if terms else value
     if kind is _POW:
         child = node.children[0]
         body = _eval(child, base, standard)
@@ -350,6 +375,44 @@ def _eval(node: ExprAst, base: int, standard: bool = False) -> Hyperreal | Fract
     if kind is _PAREN:
         return _eval(node.children[0], base, standard)
     raise AssertionError(f"unhandled node kind {kind!r}")
+
+
+def _literal_term(node: ExprAst, negative: bool) -> tuple[int, Fraction] | None:
+    """The exponent and coefficient of a literal term, negated if
+    ``negative``, or None for any other node.  A literal term is ``c``,
+    ``c*H^k``, ``c*eps^k``, ``H^k`` or ``eps^k``, c an int or rational
+    literal, with any run of unary ``-`` on the term or on c."""
+    while node.kind is _NEG:
+        negative = not negative
+        node = node.children[0]
+    kind = node.kind
+    if kind is _MUL:
+        number, symbol = node.children
+    elif kind is _INT_LIT or kind is _RAT_LIT:
+        number, symbol = node, None
+    else:
+        number, symbol = None, node
+    exp = 0
+    if symbol is not None:
+        power = 1
+        if symbol.kind is _POW:
+            power, symbol = symbol.value, symbol.children[0]
+        if symbol.kind is _GEN:
+            exp = power
+        elif symbol.kind is _EPS:
+            exp = -power
+        else:
+            return None
+    if number is None:
+        return exp, -_ONE if negative else _ONE
+    while number.kind is _NEG:
+        negative = not negative
+        number = number.children[0]
+    if number.kind is _INT_LIT:
+        return exp, _coefficient(-number.value if negative else number.value, 1)
+    if number.kind is _RAT_LIT:
+        return exp, -number.value if negative else number.value
+    return None
 
 
 def _product(values: list):

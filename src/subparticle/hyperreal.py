@@ -145,6 +145,12 @@ class Hyperreal:
 
     @property
     def terms(self) -> Mapping[int, Fraction]:
+        """The nonzero coefficients by exponent, read-only.  Their iteration
+        order depends on the path that built the value (a sum of literal
+        terms keeps source order, the product loop first-seen order, a
+        packed product ascending order), so equal values may list their
+        terms differently; ``==``, ``hash``, ``str``, ``repr`` and the
+        ledger writer do not depend on it."""
         return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
@@ -228,7 +234,8 @@ class Hyperreal:
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             return NotImplemented
         if len(self._terms) == 1:  # a monomial: (c*H^e)^k = c^k * H^(e*k), for every integer k
-            return _trusted(self._base, {exp * exponent: coeff**exponent for exp, coeff in self._terms.items()})
+            ((exp, coeff),) = self._terms.items()
+            return _trusted(self._base, {exp * exponent: coeff if coeff == 1 else coeff**exponent})
         if exponent < 0:
             raise ValueError("a negative power is defined only on a monomial")
         if exponent >= 2 and _dense(self._terms):

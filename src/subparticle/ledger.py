@@ -36,7 +36,7 @@ from operator import is_
 
 from .codec import DEFAULT_ALPHABET, Alphabet
 from .engine import RealizedVector, Ultrasubparticle
-from .hyperreal import _ZERO, Hypernatural, Hyperreal, _check_exponent, _trusted
+from .hyperreal import _ZERO, Hypernatural, Hyperreal, _check_exponent, _coefficient, _trusted
 from .radix import brief, check_natural, decimal_value, is_decimal, literal
 from .radix import parse_rational, rational_to_decimal, to_decimal
 
@@ -267,7 +267,7 @@ def _hyperreal(value, base: int) -> Hyperreal:
             raise ValueError(f"triple denominator must be a positive decimal string, got {brief(den)}")
         if not numerator:
             raise ValueError("zero coefficient in serialized value")
-        terms[exp] = Fraction(numerator, denominator)
+        terms[exp] = _coefficient(numerator, denominator)
     return _trusted(base, terms)
 
 

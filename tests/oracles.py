@@ -131,6 +131,86 @@ def scan_expression(text):
     return tokens + [("eof", "", len(text))]
 
 
+def evaluate_text(text):
+    """The value of an expression as ``{exponent: Fraction}``, by recursive
+    descent over ``scan_expression``'s tokens, from the grammar alone: an
+    int or ``n/d`` is a constant, ``H`` is {1: 1} and ``eps`` {-1: 1}; sums
+    add coefficients per exponent and drop zeros, products are
+    ``convolve_terms``, ``x^k`` multiplies k copies of x (of its inverse,
+    for k < 0, which only a monomial has: ValueError otherwise), unary
+    ``-`` binds looser than ``^``, and ``st(x)`` is x's exponent-0 term,
+    ArithmeticError if x holds a positive exponent."""
+    tokens, pos = scan_expression(text), 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def add(xs, ys, sign):
+        out = dict(xs)
+        for exp, coeff in ys.items():
+            out[exp] = out.get(exp, Fraction(0)) + sign * coeff
+        return {exp: coeff for exp, coeff in out.items() if coeff != 0}
+
+    def expr():
+        value = term()
+        while tokens[pos][0] in ("+", "-"):
+            sign = 1 if take()[0] == "+" else -1
+            value = add(value, term(), sign)
+        return value
+
+    def term():
+        value = factor()
+        while tokens[pos][0] == "*":
+            take()
+            value = convolve_terms(list(value.items()), list(factor().items()))
+        return value
+
+    def factor():
+        if tokens[pos][0] == "-":
+            take()
+            return add({}, factor(), -1)
+        value = primary()
+        if tokens[pos][0] != "^":
+            return value
+        take()
+        if tokens[pos][0] == "-":
+            take()
+            if len(value) != 1:
+                raise ValueError("a negative power of a non-monomial")
+            ((exp, coeff),) = value.items()
+            value = {-exp: 1 / coeff}
+        result = {0: Fraction(1)}
+        for _ in range(int(take()[1])):
+            result = convolve_terms(list(result.items()), list(value.items()))
+        return result
+
+    def primary():
+        kind, token, _ = take()
+        if kind == "int":
+            value = Fraction(int(token))
+            if tokens[pos][0] == "/":
+                take()
+                value /= int(take()[1])
+            return {0: value} if value else {}
+        if token == "H":
+            return {1: Fraction(1)}
+        if token == "eps":
+            return {-1: Fraction(1)}
+        if token == "st":
+            take()
+        value = expr()
+        take()
+        if token == "st":
+            if any(exp > 0 for exp in value):
+                raise ArithmeticError("st of an infinite value")
+            return {0: value[0]} if 0 in value else {}
+        return value
+
+    return expr()
+
+
 def ledger_document(ledger):
     """Ledger format v1 as a dict, built from the ledger's fields with str(),
     Fraction and sorted term lists rather than the library's serializers."""

@@ -20,7 +20,7 @@ from subparticle.expr import (
 from subparticle.hyperreal import Hyperreal, InfiniteValueError
 
 from golden_expr import EVAL_ERRORS, GOLDEN, GOLDEN_EVAL, MALFORMED
-from oracles import convolve_terms, scan_expression
+from oracles import convolve_terms, evaluate_text, scan_expression
 
 
 @pytest.mark.parametrize("source, canonical", GOLDEN)
@@ -329,6 +329,80 @@ def test_each_power_under_nested_st_runs_once(power_calls):
 def test_st_of_a_finite_power_builds_no_hyperreal_power(power_calls):
     assert eval_ast(parse(f"st((1+eps)^{MAX_EXPONENT})"), 10) == 1
     assert power_calls[Hyperreal] == 0
+
+
+@pytest.mark.parametrize("source, terms", [("H^5", {5: 1}), ("eps^-3", {3: 1}), ("(H)^2", {2: 1})])
+def test_powers_of_a_unit_monomial_take_no_fraction_power(power_calls, source, terms):
+    assert eval_ast(parse(source), 10) == Hyperreal(10, terms)
+    assert power_calls[Fraction] == 0
+
+
+# Sums against the naive evaluator: literal terms with int, rational and zero
+# coefficients, minus runs, H^k and eps^k for k in -4..4 and cancelling
+# pairs, mixed with parenthesised, product and st operands.
+COEFFICIENTS = st.integers(0, 20).map(str) | st.tuples(st.integers(0, 20), st.integers(1, 9)).map("{0[0]}/{0[1]}".format)
+SYMBOLS = st.tuples(st.sampled_from(["H", "eps"]), st.sampled_from(["", *(f"^{k}" for k in range(-4, 5))])).map("".join)
+LITERAL_TERMS = st.tuples(
+    st.integers(0, 3).map("-".__mul__),
+    st.tuples(COEFFICIENTS, SYMBOLS).map("*".join) | COEFFICIENTS | SYMBOLS,
+).map("".join)
+
+
+@st.composite
+def sums(draw, operands):
+    """1-8 operands joined by + and -, some followed later by the same
+    operand with the other sign, in any order."""
+    links = []
+    while not links or len(links) < 8 and draw(st.booleans()):
+        link, operand = draw(st.sampled_from([" + ", " - "])), draw(operands)
+        links.append((link, operand))
+        if len(links) < 8 and draw(st.booleans()):
+            links.append((" + " if link == " - " else " - ", operand))
+    text = "".join(link + operand for link, operand in draw(st.permutations(links)))
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
+LITERAL_SUMS = sums(LITERAL_TERMS)
+MIXED_SUMS = sums(st.one_of(
+    LITERAL_TERMS,
+    st.tuples(LITERAL_SUMS, st.sampled_from(["", "^0", "^2", "^3"])).map("({0[0]}){0[1]}".format),
+    st.tuples(LITERAL_TERMS, LITERAL_TERMS).map("*".join),
+    st.tuples(LITERAL_SUMS, LITERAL_SUMS).map("({0[0]})*({0[1]})".format),
+    LITERAL_SUMS.map("st({})".format),
+))
+
+
+def _terms_or_error(call):
+    try:
+        return call()
+    except ArithmeticError:  # the library's InfiniteValueError, or the oracle's st of an infinite value
+        return ArithmeticError
+
+
+@settings(max_examples=400, deadline=None)
+@given(LITERAL_SUMS | MIXED_SUMS, st.sampled_from([2, 10]))
+@example("2*H^2 - 2*H^2 + --3/6*eps", 10)
+@example("1/2 - 1/3*eps + 1/4*eps^2", 2)
+@example("0*H^-4 - 0/7 + -0*eps - --0", 10)
+@example("H^-2 - eps^2 + eps^-3 - H^3 + 3/4*H^0", 2)
+@example("-(1+H)^2 + H^2 + 2*H + 1", 10)
+@example("1 - st(H) + H", 10)
+def test_sums_match_the_naive_evaluator(text, base):
+    def full():
+        value = eval_ast(parse(text), base)
+        if isinstance(value, Fraction):  # the text is one st operand
+            return {0: value} if value else {}
+        assert value.base == base
+        assert all(type(coeff) is Fraction and coeff for coeff in value.terms.values())
+        return dict(value.terms)
+
+    def standard():
+        value = eval_ast(parse(f"st({text})"), base)
+        assert type(value) is Fraction
+        return value
+
+    assert _terms_or_error(full) == _terms_or_error(lambda: evaluate_text(text))
+    assert _terms_or_error(standard) == _terms_or_error(lambda: evaluate_text(f"st({text})").get(0, 0))
 
 
 # The scanner against the token rules, on token characters, the whitespace

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subparticle import hyperreal
+from subparticle import hyperreal, ledger
 from subparticle.hyperreal import (
     BaseMismatchError,
     Classification,
@@ -342,6 +342,17 @@ class TestSerialization:
             x = random_hyperreal(rng)
             assert through_ledger(x)[1] == x
 
+    @pytest.mark.parametrize("triples, terms", [
+        ([[1, "6", "4"]], {1: F(3, 2)}),
+        ([[0, "-10", "4"], [-1, "7", "7"]], {0: F(-5, 2), -1: F(1)}),
+    ])
+    def test_triples_build_coefficients_in_lowest_terms(self, triples, terms):
+        value = ledger._hyperreal(triples, 10)
+        assert value.terms.keys() == terms.keys()
+        for exp, coeff in value.terms.items():
+            assert type(coeff) is Fraction and coeff == terms[exp] and hash(coeff) == hash(terms[exp])
+            assert (coeff.numerator, coeff.denominator) == (terms[exp].numerator, terms[exp].denominator)
+
     @pytest.mark.parametrize(
         "triples, message", MALFORMED_TRIPLES, ids=[f"triples{i}" for i in range(len(MALFORMED_TRIPLES))]
     )
@@ -373,6 +384,15 @@ class TestDisplay:
     )
     def test_canonical_text(self, terms, text):
         assert str(hr(terms)) == text
+
+    def test_nothing_but_iteration_depends_on_term_order(self):
+        # a sum of literal terms, the integer product loop and a packed power
+        values = [eval_ast(parse(text), 10) for text in ("H^2 + 2*H + 1", "(1+H)*(1+H)", "(1+H)^2")]
+        assert len({tuple(value.terms) for value in values}) > 1
+        for value in values:
+            assert value == values[0] and hash(value) == hash(values[0])
+            assert (str(value), repr(value)) == ("H^2 + 2*H + 1", "Hyperreal(10, 'H^2 + 2*H + 1')")
+            assert ledger._hyperreal_json(value) == ledger._hyperreal_json(values[0])
 
     def test_equality_is_per_base(self):
         assert hr({0: 5}, base=2) != hr({0: 5}, base=10)
