@@ -16,15 +16,22 @@ shared freely between threads.  A value's wire form, its
 ``[exponent, numerator, denominator]`` triples, belongs to ledger format
 v1, so ``ledger.py`` alone writes and reads it.
 
-Monomial powers are closed form for every integer k, negative ones too:
+Sums, negations and products build each coefficient once, from ints, and
+run no ``Fraction`` operator: ``_coefficient`` puts a numerator over a
+positive denominator with one gcd.  A sum puts the cross products of the
+numerators over the product of the denominators, a monomial factor
+multiplies numerators and denominators, and a negation flips the
+numerator's sign (``_negated``, which needs no gcd).  Monomial powers are
+closed form for every integer k, negative ones too:
 ``(c*H**e)**k = c**k * H**(e*k)``.  Other products and powers clear each
-operand to integer numerators over its common denominator and build each
-coefficient once, with one gcd.  Dense ones (span below ``_DENSE_SPAN``
-times the term count) pack the numerators into one int of a few times
-their bits, a fixed-width digit per stride step (the gcd of the exponent
-gaps), for one int product or power (Kronecker; Harvey, arXiv:0712.4046),
-from ``_PACK_MIN_TERMS`` term pairs for a product: on small rationals the
-loop is faster up to 12x12, even at 14x14 and 10x20, slower from 15x15.
+operand to integer numerators over its common denominator.  Dense ones
+(span below ``_DENSE_SPAN`` times the term count) pack the numerators into
+one int of a few times their bits, a fixed-width digit per stride step (the
+gcd of the exponent gaps), for one int product or power (Kronecker; Harvey,
+arXiv:0712.4046), from ``_PACK_MIN_TERMS`` term pairs for a product whose
+smaller operand has ``_PACK_MIN_SIDE`` terms: on small rationals the loop is
+faster up to 12x12, even at 14x14 and 10x20, slower from 15x15, and
+faster at 3x80, 4x50 and 6x40 but not at 8x25 or 8x40.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _DENSE_SPAN = 4  # see the module docstring
 _PACK_MIN_TERMS = 200  # fewer term pairs than this multiply as fast or faster in the loop
+_PACK_MIN_SIDE = 8  # and so does a product whose smaller operand has fewer terms than this
 
 
 class BaseMismatchError(ValueError):
@@ -182,20 +190,18 @@ class Hyperreal:
             return NotImplemented
         merged = dict(self._terms)
         for exp, coeff in rhs._terms.items():
-            if exp in merged:
-                value = merged[exp] + coeff
-                if value:
-                    merged[exp] = value
-                else:
-                    del merged[exp]
-            else:
+            if (old := merged.get(exp)) is None:
                 merged[exp] = coeff
+            elif num := old.numerator * coeff.denominator + coeff.numerator * old.denominator:
+                merged[exp] = _coefficient(num, old.denominator * coeff.denominator)
+            else:  # the sum cancels
+                del merged[exp]
         return _trusted(self._base, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _trusted(self._base, {exp: -coeff for exp, coeff in self._terms.items()})
+        return _trusted(self._base, {exp: _negated(coeff) for exp, coeff in self._terms.items()})
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -216,9 +222,12 @@ class Hyperreal:
         right = rhs._terms
         if len(right) == 1:  # a monomial factor: exponents stay distinct, nothing cancels
             ((ey, cy),) = right.items()
-            unit = cy == 1  # H^k and eps^k only shift the exponents
-            return _trusted(self._base, {ex + ey: cx if unit else cx * cy for ex, cx in self._terms.items()})
-        if len(self._terms) * len(right) >= _PACK_MIN_TERMS and _dense(self._terms) and _dense(right):
+            ny, dy = cy.numerator, cy.denominator
+            unit = ny == dy  # H^k and eps^k only shift the exponents
+            return _trusted(self._base, {ex + ey: cx if unit else _coefficient(cx.numerator * ny, cx.denominator * dy)
+                                         for ex, cx in self._terms.items()})
+        lx, ly = len(self._terms), len(right)
+        if lx * ly >= _PACK_MIN_TERMS and min(lx, ly) >= _PACK_MIN_SIDE and _dense(self._terms) and _dense(right):
             return _trusted(self._base, _packed_product(self._terms, right))
         (den_x, xs), (den_y, ys) = _numerators(self._terms), _numerators(right)
         acc, den = {}, den_x * den_y
@@ -331,6 +340,13 @@ def _coefficient(n: int, d: int) -> Fraction:
     return value
 
 
+def _negated(c: Fraction) -> Fraction:
+    """``-c``, its slots written as ``_coefficient`` writes them: ``c`` is already in lowest terms."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = -c.numerator, c.denominator
+    return value
+
+
 def _numerators(terms: dict) -> tuple[int, dict[int, int]]:
     """The common denominator of the coefficients, and each exponent's numerator over it."""
     den = math.lcm(*[coeff.denominator for coeff in terms.values()])
@@ -406,7 +422,7 @@ class Hypernatural:
         for exp, coeff in value._terms.items():
             if exp < 0:
                 raise ValueError("a hypernatural cannot carry negative powers of H")
-            if coeff.denominator != 1 or coeff < 0:
+            if coeff.denominator != 1 or coeff.numerator < 0:
                 raise ValueError("hypernatural coefficients must be nonnegative integers")
         self._value = value
 
@@ -449,7 +465,8 @@ def lambda_for_code(code: int, base: int) -> Hypernatural:
     ``is_infinite`` False).
     """
     check_natural(code, "code")
-    return Hypernatural(Hyperreal.monomial(base, code, 1))
+    _check_base(base)
+    return Hypernatural(_trusted(base, {1: _coefficient(code, 1)} if code else {}))
 
 
 def hyperfinite_constant_sum(count: Hypernatural, term: Hyperreal) -> Hyperreal:

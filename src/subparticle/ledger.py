@@ -13,11 +13,13 @@ document by that layout and is the one writer of ledger text,
 ``Ledger.from_dict`` the one reader, and ``read_json`` the one reader of JSON
 text, ``--config`` files included.  This module alone knows the triple form:
 ``_hyperreal_json`` writes a hyperreal and ``_hyperreal`` reads one back over
-the config's checked base, refusing any JSON value but a list.  A run's
-three vector fields are its config's constants (``Config.table``) but for the
-slots the run moves, so ``_vector_json`` and ``_parse_vector`` write or read
-only those slots when every other one holds its own entry exactly, and every
-entry otherwise.  ``json.dumps(ledger.to_dict(), indent=2)`` equals
+the config's checked base, refusing any JSON value but a list; a one-term
+value, such as the entries a run moves, is written with one f-string.  The
+``config`` object is its config's constant text (``Config.block``), and a
+run's three vector fields are its config's constants (``Config.table``) but
+for the slots the run moves, so ``_vector_json`` and ``_parse_vector`` write
+or read only those slots when every other one holds its own entry exactly,
+and every entry otherwise.  ``json.dumps(ledger.to_dict(), indent=2)`` equals
 ``ledger.to_json()`` byte for byte.  ``Config.from_dict`` keeps its last 64
 configs, keyed by five settings of exact type, so ledgers share them.  The
 bundled sign is ``config.bundle_sign``: a ledger writes it as text only.
@@ -43,8 +45,9 @@ from .radix import parse_rational, rational_to_decimal, to_decimal
 LEDGER_VERSION = "1"
 
 _CONFIG_KEYS = ("base", "dims", "alphabet", "bundle_coordinate", "quality_signs")
-_LEDGER_KEYS = ("version", "config", "word", "code", "sequence_head", "lambda", "bundle_sign",
-                "ultrasubparticle", "intermediate", "realized", "decoded")
+_LEDGER_KEYS = frozenset(("version", "config", "word", "code", "sequence_head", "lambda", "bundle_sign",
+                          "ultrasubparticle", "intermediate", "realized", "decoded"))
+_COUNT_KEYS = frozenset(("value", "infinite", "degenerate"))
 
 
 class LedgerError(ValueError):
@@ -66,7 +69,8 @@ class Config:
     of the bundled coordinate, looked up once by ``Ultrasubparticle.sign``.
     ``table`` holds its ledgers' three vector fields as a run leaves them
     (see ``_Vector``), built on the first ledger the config writes or reads;
-    slots share one text and one JSON value per distinct entry (<= 4)."""
+    slots share one text and one JSON value per distinct entry (<= 4).
+    ``block`` is the settings' text in each of its ledgers, built likewise."""
 
     base: int = 10
     dims: int = 8
@@ -100,6 +104,14 @@ class Config:
         realized = _vector("realized", (slot,), (_ZERO,) * self.dims, lambda value: f'"{rational_to_decimal(value)}"',
                            parse_rational, lambda coords: RealizedVector(coords).coords)
         return ultra, ultra._replace(key="intermediate", moved=(1, slot)), realized
+
+    @cached_property
+    def block(self) -> str:
+        """The ledger text of the settings, the ``config`` object at depth 1: the same in each of its ledgers."""
+        return (f'{{\n    "base": {self.base},\n    "dims": {self.dims},\n'
+                f'    "alphabet": {encode_basestring_ascii(self.alphabet)},\n'
+                f'    "bundle_coordinate": {self.bundle_coordinate},\n'
+                f'    "quality_signs": "{self.quality_signs}"\n  }}')
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _CONFIG_KEYS}
@@ -149,12 +161,7 @@ class Ledger:
         infinite, degenerate = ("true" if flag else "false" for flag in (count.is_infinite, count.is_degenerate))
         ultra, intermediate, realized = config.table
         return (
-            f'{{\n  "version": "{LEDGER_VERSION}",\n  "config": {{\n'
-            f'    "base": {config.base},\n'
-            f'    "dims": {config.dims},\n'
-            f'    "alphabet": {encode_basestring_ascii(config.alphabet)},\n'
-            f'    "bundle_coordinate": {config.bundle_coordinate},\n'
-            f'    "quality_signs": "{config.quality_signs}"\n  }},\n'
+            f'{{\n  "version": "{LEDGER_VERSION}",\n  "config": {config.block},\n'
             f'  "word": {encode_basestring_ascii(self.word)},\n'
             f'  "code": "{code}",\n'
             f'  "sequence_head": "{code}",\n'
@@ -172,10 +179,10 @@ class Ledger:
     def from_dict(cls, data) -> "Ledger":
         if not isinstance(data, dict):
             raise LedgerError("ledger must be a JSON object")
-        if missing := set(_LEDGER_KEYS) - set(data):
-            raise LedgerError(f"missing ledger field(s): {sorted(missing)}")
-        if unknown := set(data) - set(_LEDGER_KEYS):
-            raise LedgerError(f"unknown ledger field(s): {_listed(unknown)}")
+        if data.keys() != _LEDGER_KEYS:
+            if missing := _LEDGER_KEYS - data.keys():
+                raise LedgerError(f"missing ledger field(s): {sorted(missing)}")
+            raise LedgerError(f"unknown ledger field(s): {_listed(data.keys() - _LEDGER_KEYS)}")
         if data["version"] != LEDGER_VERSION:
             raise LedgerError(f"unsupported ledger version {brief(data['version'])}")
         try:
@@ -185,8 +192,10 @@ class Ledger:
         word, decoded = data["word"], data["decoded"]
         if not isinstance(word, str) or not isinstance(decoded, str):
             raise LedgerError("word and decoded must be strings")
-        code = _parse_natural(data["code"], "code")
-        if _parse_natural(data["sequence_head"], "sequence_head") != code:
+        text, head = data["code"], data["sequence_head"]
+        code = _parse_natural(text, "code")
+        same = type(head) is type(text) is str and head == text  # a plain copy of a checked text: nothing to parse
+        if not same and _parse_natural(head, "sequence_head") != code:
             raise LedgerError("sequence_head must equal code")
         count = _parse_count(data["lambda"], config.base)
         sign_text = data["bundle_sign"]
@@ -238,11 +247,16 @@ def _listed(keys) -> str:
 
 def _hyperreal_json(value: Hyperreal) -> str:
     """A hyperreal's triples in descending exponent order, at depth 2, where format v1 puts every one."""
-    rows = [
-        f'      [\n        {exp},\n        "{to_decimal(c.numerator)}",\n        "{to_decimal(c.denominator)}"\n      ]'
-        for exp, c in sorted(value.terms.items(), reverse=True)
-    ]
-    return "[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"
+    terms = value.terms
+    if len(terms) == 1:  # each entry a run moves, but the empty word's: nothing to sort or join
+        (term,) = terms.items()
+        return f"[\n{_triple_json(term)}\n    ]"
+    return "[\n" + ",\n".join(map(_triple_json, sorted(terms.items(), reverse=True))) + "\n    ]" if terms else "[]"
+
+
+def _triple_json(term) -> str:
+    exp, c = term
+    return f'      [\n        {exp},\n        "{to_decimal(c.numerator)}",\n        "{to_decimal(c.denominator)}"\n      ]'
 
 
 def _hyperreal(value, base: int) -> Hyperreal:
@@ -291,7 +305,7 @@ def _parse_natural(value, field: str) -> int:
 
 
 def _parse_count(value, base: int) -> Hypernatural:
-    if not isinstance(value, dict) or set(value) != {"value", "infinite", "degenerate"}:
+    if not isinstance(value, dict) or value.keys() != _COUNT_KEYS:
         raise LedgerError("lambda must be an object with value, infinite, and degenerate fields")
     try:
         count = Hypernatural(_hyperreal(value["value"], base))

@@ -22,6 +22,17 @@ def convolve_terms(xs, ys):
     return {exp: coeff for exp, coeff in acc.items() if coeff != 0}
 
 
+def sum_terms(xs, ys, sign=1):
+    """``xs + sign * ys`` of two {exponent: coefficient} maps by plain
+    Fraction arithmetic, term by term, dropping the zero sums."""
+    acc = {}
+    for exp, coeff in xs.items():
+        acc[exp] = acc.get(exp, Fraction(0)) + Fraction(coeff)
+    for exp, coeff in ys.items():
+        acc[exp] = acc.get(exp, Fraction(0)) + sign * Fraction(coeff)
+    return {exp: coeff for exp, coeff in acc.items() if coeff != 0}
+
+
 def iterate_translation(coords, translation, times):
     """Apply x -> x + b literally `times` times (finite counts only)."""
     out = tuple(coords)

@@ -27,7 +27,7 @@ from subparticle.ledger import Ledger, LedgerError
 from subparticle.pipeline import run_pipeline
 
 import oracles
-from oracles import convolve_terms, random_hyperreal, repeated_addition
+from oracles import convolve_terms, random_hyperreal, repeated_addition, sum_terms
 
 F = Fraction
 
@@ -624,8 +624,8 @@ def test_strided_operands_pack_one_digit_per_step(monkeypatch):
     assert packed == [2]
     packed.clear()
     x, y = hr({1 + 4 * k: k + 1 for k in range(100)}), hr({0: 1, 6: -1})  # strides 4 and 6 pack at 2
-    assert dict((x * y).terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
-    assert packed == [199, 4]
+    assert hyperreal._packed_product(x._terms, y._terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
+    assert packed == [199, 4]  # packed directly: x * y multiplies in the loop, y has 2 terms
 
 
 def test_dense_products_pack_from_two_hundred_term_pairs(monkeypatch):
@@ -637,6 +637,23 @@ def test_dense_products_pack_from_two_hundred_term_pairs(monkeypatch):
     x, y = x - hr({5: x.terms[5]}), y + hr({9: F(1, 7), 10: -2})
     assert dict((x * y).terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
     assert packed == [10, 20]
+
+
+# A skinny product multiplies in the loop however many term pairs it has:
+# the loop is faster at 3x80, 4x50 and 6x40.
+def test_dense_products_pack_from_eight_terms_a_side(monkeypatch):
+    packed, pack = [], hyperreal._pack
+    monkeypatch.setattr(hyperreal, "_pack", lambda digits, width: packed.append(len(digits)) or pack(digits, width))
+    assert (hyperreal._PACK_MIN_SIDE, hyperreal._PACK_MIN_TERMS) == (8, 200)
+
+    def dense(count):
+        return hr({k: F((-1) ** k * (k + 1), k % 5 + 2) for k in range(count)})
+
+    for side, other in ((7, 200), (7, 40), (3, 80), (8, 25), (8, 40), (25, 8)):
+        x, y = dense(side), dense(other)
+        assert hyperreal._dense(x._terms) and hyperreal._dense(y._terms)
+        assert dict((x * y).terms) == convolve_terms(list(x.terms.items()), list(y.terms.items()))
+    assert packed == [8, 25, 8, 40, 25, 8]  # 7 terms or fewer a side never pack
 
 
 @settings(deadline=None)
@@ -671,15 +688,57 @@ huge = 10**5000
 def test_coefficient_is_the_fraction_in_lowest_terms(numerator, denominator, common):
     for n, d in ((numerator, denominator), (numerator * common, denominator * common)):
         built, expected = hyperreal._coefficient(n, d), Fraction(n, d)
-        assert type(built) is Fraction
-        assert built == expected and hash(built) == hash(expected)
-        assert (built.numerator, built.denominator) == (expected.numerator, expected.denominator)
+        for built, expected in ((built, expected), (hyperreal._negated(built), -expected)):
+            assert type(built) is Fraction
+            assert built == expected and hash(built) == hash(expected)
+            assert (built.numerator, built.denominator) == (expected.numerator, expected.denominator)
 
 
 def assert_lowest_terms(value):
     for coeff in value.terms.values():
         assert type(coeff) is Fraction and coeff
         assert coeff.denominator > 0 and math.gcd(coeff.numerator, coeff.denominator) == 1
+
+
+# Sums, differences, negations and monomial products against plain Fraction
+# arithmetic: shared and coprime denominators, negative values, ints past
+# the int-str limit, and sums that cancel a term.
+exact_coefficients = st.builds(
+    Fraction,
+    st.integers(min_value=-12, max_value=12) | st.integers(min_value=-huge, max_value=huge),
+    st.sampled_from([1, 2, 3, 4, 6, 35]) | st.integers(min_value=1, max_value=huge),
+)
+small_maps = st.dictionaries(st.integers(min_value=-3, max_value=3), exact_coefficients, max_size=5)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Two term maps, the second minus some of the first's terms."""
+    xs, ys = draw(small_maps), draw(small_maps)
+    cancelled = draw(st.sets(st.sampled_from(sorted(xs)))) if xs else set()
+    return xs, ys | {exp: -xs[exp] for exp in cancelled}, {exp for exp in cancelled if xs[exp]}
+
+
+# The examples hold ints past the limit, not Fractions: hypothesis takes an
+# explicit example's repr, which such a Fraction cannot give.
+@settings(deadline=None)
+@example(({0: F(1, 2), 1: huge + 1}, {0: F(-1, 2), 1: 1}, {0}), F(-3, 35), 2)
+@example(({0: F(1, 6), -1: -huge}, {0: F(1, 10), -1: huge}, {-1}), huge + 1, -1)
+@given(cancelling_pairs(), exact_coefficients, st.integers(min_value=-3, max_value=3))
+def test_sums_negations_and_monomial_products_match_fraction_arithmetic(pair, coeff, exp):
+    xs, ys, cancelled = pair
+    x, y, m = hr(xs), hr(ys), Hyperreal.monomial(10, coeff, exp)
+    for value, expected in (
+        (x + y, sum_terms(xs, ys)),
+        (y + x, sum_terms(xs, ys)),
+        (x - y, sum_terms(xs, ys, -1)),
+        (-x, sum_terms({}, xs, -1)),
+        (x * m, convolve_terms(list(xs.items()), [(exp, coeff)])),
+        (m * x, convolve_terms(list(xs.items()), [(exp, coeff)])),
+    ):
+        assert_lowest_terms(value)
+        assert dict(value.terms) == expected
+    assert not cancelled & set((x + y).terms)  # a sum that cancels deletes its exponent
 
 
 def test_computed_coefficients_are_in_lowest_terms(monkeypatch):
