@@ -75,7 +75,7 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return _coefficient(value, 1)
     raise TypeError(f"expected an exact rational (int or Fraction), got {type(value).__name__}")
 
 

@@ -9,11 +9,15 @@ triples in descending exponent order, and the zero hyperreal is exactly
 ``[]``.
 
 Format v1 fixes the shape of every field, so ``Ledger.to_json`` writes the
-document by that layout and is the one writer of ledger text,
-``Ledger.from_dict`` the one reader, and ``read_json`` the one reader of JSON
-text, ``--config`` files included.  This module alone knows the triple form:
-``_hyperreal_json`` writes a hyperreal and ``_hyperreal`` reads one back over
-the config's checked base, refusing any JSON value but a list; a one-term
+document by that layout and is the one writer of ledger text; ``_document``
+holds the fixed text around the fields.  ``Ledger.from_json`` compares a text
+in place with its config's ``layout``, the writer's text cut where a run's
+own texts go, and decodes and checks only those; any other text goes to
+``Ledger.from_dict(read_json(text))``, and both give the same ledgers and
+messages.  ``read_json`` is the one reader of JSON text, ``--config`` files
+included.  This module alone knows the triple form: ``_hyperreal_json``
+writes a hyperreal and ``_hyperreal`` reads one back over the config's
+checked base, refusing any JSON value but a list; a one-term
 value, such as the entries a run moves, is written with one f-string.  The
 ``config`` object is its config's constant text (``Config.block``), and a
 run's three vector fields are its config's constants (``Config.table``) but
@@ -113,6 +117,15 @@ class Config:
                 f'    "bundle_coordinate": {self.bundle_coordinate},\n'
                 f'    "quality_signs": "{self.quality_signs}"\n  }}')
 
+    @cached_property
+    def layout(self) -> tuple[str, ...]:
+        """The text of each of its ledgers, cut where a run's own texts go: the word, the code,
+        ``sequence_head``, ``lambda``, the moved slots of the ``table`` vectors in order, and ``decoded``.  It is
+        ``to_json``'s text with ``_CUT`` in those places, from the same ``block`` and ``table`` texts."""
+        vectors = [_vector_text([_CUT if slot in vector.moved else text for slot, text in enumerate(vector.texts)])
+                   for vector in self.table]
+        return tuple(_document(self, _CUT, _CUT, _CUT, *vectors, _CUT).split(_CUT))
+
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _CONFIG_KEYS}
 
@@ -157,22 +170,16 @@ class Ledger:
     def to_json(self) -> str:
         """The document, written field by field in format v1's layout."""
         check_natural(self.code, "code")
-        config, count, code = self.config, self.count, to_decimal(self.code)
+        config, count = self.config, self.count
         infinite, degenerate = ("true" if flag else "false" for flag in (count.is_infinite, count.is_degenerate))
         ultra, intermediate, realized = config.table
-        return (
-            f'{{\n  "version": "{LEDGER_VERSION}",\n  "config": {config.block},\n'
-            f'  "word": {encode_basestring_ascii(self.word)},\n'
-            f'  "code": "{code}",\n'
-            f'  "sequence_head": "{code}",\n'
-            f'  "lambda": {{\n    "value": {_hyperreal_json(count.value)},\n'
+        return _document(
+            config, encode_basestring_ascii(self.word), f'"{to_decimal(self.code)}"',
+            f'{{\n    "value": {_hyperreal_json(count.value)},\n'
             f'    "infinite": {infinite},\n'
-            f'    "degenerate": {degenerate}\n  }},\n'
-            f'  "bundle_sign": "{config.quality_signs[config.bundle_coordinate - 3]}",\n'
-            f'  "ultrasubparticle": {_vector_json(self.ultrasubparticle, ultra)},\n'
-            f'  "intermediate": {_vector_json(self.intermediate, intermediate)},\n'
-            f'  "realized": {_vector_json(self.realized, realized)},\n'
-            f'  "decoded": {encode_basestring_ascii(self.decoded)}\n}}'
+            f'    "degenerate": {degenerate}\n  }}',
+            _vector_json(self.ultrasubparticle, ultra), _vector_json(self.intermediate, intermediate),
+            _vector_json(self.realized, realized), encode_basestring_ascii(self.decoded),
         )
 
     @classmethod
@@ -207,7 +214,9 @@ class Ledger:
 
     @classmethod
     def from_json(cls, text: str) -> "Ledger":
-        return cls.from_dict(read_json(text))
+        """The ledger of ``text``: read in its config's layout if it is in it, else parsed by ``from_dict``."""
+        ledger = _read_layout(cls, text)
+        return cls.from_dict(read_json(text)) if ledger is None else ledger
 
     __repr__ = literal
 
@@ -243,6 +252,22 @@ def read_json(text: str):
 def _listed(keys) -> str:
     """Keys as the text of a list, each quoted by ``brief``, in ``repr`` order, so that keys of any type sort."""
     return f"[{', '.join(map(brief, sorted(keys, key=repr)))}]"
+
+
+# Format v1's text up to the config object.  ``_document`` writes the rest of the text around a ledger's fields,
+# the one place it is written: ``to_json`` puts a run's texts in it, and ``Config.layout`` cuts it at ``_CUT``,
+# which no ledger text holds, since JSON escapes every control character in a string.
+_HEAD = f'{{\n  "version": "{LEDGER_VERSION}",\n  "config": '
+_CUT = "\x00"
+
+
+def _document(config: Config, word: str, code: str, count: str, ultra: str, intermediate: str, realized: str,
+              decoded: str) -> str:
+    """A ledger's text from its fields' texts, ``code`` also ``sequence_head``'s; the config writes the rest."""
+    return (f'{_HEAD}{config.block},\n  "word": {word},\n  "code": {code},\n  "sequence_head": {code},\n'
+            f'  "lambda": {count},\n  "bundle_sign": "{config.quality_signs[config.bundle_coordinate - 3]}",\n'
+            f'  "ultrasubparticle": {ultra},\n  "intermediate": {intermediate},\n  "realized": {realized},\n'
+            f'  "decoded": {decoded}\n}}')
 
 
 def _hyperreal_json(value: Hyperreal) -> str:
@@ -325,6 +350,10 @@ def _vector_json(entries, vector: _Vector) -> str:
             probe[slot], texts[slot] = own[slot], write(entries[slot])
     if len(probe) != len(own) or not all(map(is_, probe, own)):
         texts = map(write, entries)
+    return _vector_text(texts)
+
+
+def _vector_text(texts) -> str:
     return "[\n    " + ",\n    ".join(texts) + "\n  ]"
 
 
@@ -352,3 +381,43 @@ def _parse_vector(value, vector: _Vector) -> tuple:
         return tuple(coords) if exact else whole(coords)
     except ValueError as exc:
         raise LedgerError(f"invalid {field} vector: {exc}") from None
+
+
+@lru_cache(maxsize=64)
+def _block_config(block: str) -> Config:
+    """The config a config object's text names.  Its ``layout`` starts with its own ``block``, which the text
+    then has to match."""
+    return Config.from_dict(read_json(block))
+
+
+def _read_layout(cls, text) -> Ledger | None:
+    """The ledger of a text in its config's layout, or None for any other text, never an error: the text
+    holds a config's ``block``, then each of its ``layout`` pieces in place with one JSON value between each
+    two, which ``from_dict``'s checks accept, and then only JSON whitespace.  Unmoved slots are the own objects,
+    as ``_parse_vector`` reads them when each holds its own JSON value."""
+    try:
+        if not text.startswith(_HEAD):
+            return None
+        config = _block_config(text[len(_HEAD):text.find("\n  }", len(_HEAD)) + 4])
+        *pieces, last = config.layout
+        values, pos = [], 0
+        for piece in pieces:
+            if not text.startswith(piece, pos):
+                return None
+            value, pos = _DECODER.raw_decode(text, pos + len(piece))
+            values.append(value)
+        if not text.startswith(last, pos) or text[pos + len(last):].strip(" \t\n\r"):
+            return None
+        word, code, head, count, *moved, decoded = values
+        if not isinstance(word, str) or not isinstance(decoded, str) or head != code:  # one number, one canonical text
+            return None
+        code, count, moved = _parse_natural(code, "code"), _parse_count(count, config.base), iter(moved)
+        vectors = []
+        for vector in config.table:
+            coords = list(vector.own)
+            for slot in vector.moved:
+                coords[slot] = vector.read(next(moved))
+            vectors.append(tuple(coords))
+        return cls(config, word, code, count, *vectors, decoded)
+    except (TypeError, ValueError, RecursionError):  # from_dict or read_json then gives its error, if any
+        return None

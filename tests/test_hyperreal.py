@@ -694,6 +694,32 @@ def test_coefficient_is_the_fraction_in_lowest_terms(numerator, denominator, com
             assert (built.numerator, built.denominator) == (expected.numerator, expected.denominator)
 
 
+@settings(deadline=None)
+@example(0)
+@example(-1)
+@example(-huge - 1)
+@example(huge)
+@given(st.integers(min_value=-10**6, max_value=10**6) | st.integers(min_value=-huge, max_value=huge))
+def test_an_int_operand_is_the_fraction_of_the_int(n):
+    x = Hyperreal.generator(10) + Fraction(1, 3)
+    built = hyperreal._as_fraction(n)
+    assert type(built) is Fraction and type(built.numerator) is int
+    assert (built.numerator, built.denominator) == (n, 1) and hash(built) == hash(Fraction(n))
+    for value, expected in ((x + n, {1: 1, 0: Fraction(1, 3) + n}), (n - x, {1: -1, 0: n - Fraction(1, 3)}),
+                            (x * n, {1: n, 0: Fraction(n, 3)})):
+        assert value.terms == {exp: c for exp, c in expected.items() if c}
+        assert_lowest_terms(value)
+
+
+def test_a_bool_operand_is_the_int_it_equals():
+    x = Hyperreal.generator(10)
+    for flag, n in ((True, 1), (False, 0)):
+        built = hyperreal._as_fraction(flag)
+        assert type(built) is Fraction and type(built.numerator) is int and built == Fraction(n)
+        assert x + flag == x + n and x * flag == x * n and flag - x == n - x
+        assert Hyperreal.from_rational(10, flag) == Hyperreal.from_rational(10, n)
+
+
 def assert_lowest_terms(value):
     for coeff in value.terms.values():
         assert type(coeff) is Fraction and coeff

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subparticle.engine as engine
+import subparticle.ledger as ledger_module
 import subparticle.pipeline as pipeline
 from subparticle.cli import main
 from subparticle.codec import DEFAULT_ALPHABET
@@ -858,3 +859,126 @@ def test_realized_list_gives_the_documented_exit(config, realized, outcome, tmp_
     data = run_pipeline("ab", config).to_dict()
     data["realized"] = realized
     assert _realize_document(data, tmp_path, capsys) == outcome
+
+
+# ``Ledger.from_json`` reads a text in its config's layout without parsing the
+# whole document, and hands any other text to ``from_dict(read_json(text))``.
+# The two must agree on every text: an equal ledger whose slots are the
+# config's own objects at the same places, or the same error and message.
+LAYOUT_CONFIGS = {
+    "default": (Config(), 1500),
+    "base 2, 32 dims": (Config(base=2, dims=32, bundle_coordinate=4), 1500),
+    "4096 dims": (Config(dims=4096, bundle_coordinate=2048), 10),
+    "escaped alphabet": (Config(alphabet='ab"\\é\x01 '), 1500),
+}
+EDIT_CHARS = ' "0123-,:[]{}\\\nxé\x00/e'
+
+
+def _outcome(read, text):
+    try:
+        ledger = read(text)
+    except LedgerError as exc:
+        return "LedgerError", str(exc)
+    own = [[entry is mine for entry, mine in zip(getattr(ledger, vector.key), vector.own)]
+           for vector in ledger.config.table]
+    return ledger, own
+
+
+def _both_readers_agree(text):
+    general = _outcome(lambda t: Ledger.from_dict(ledger_module.read_json(t)), text)
+    assert _outcome(Ledger.from_json, text) == general, text[:200]
+    return general
+
+
+def _layout_words(name):
+    words = ["", "ab"]
+    return words + ['é"a\\\x01 b'] if name == "escaped alphabet" else words
+
+
+def _edits(text, config, budget):
+    """A deletion, a substitution and an insertion at each position of a stride that gives about ``budget``
+    positions over the whole text, and at every position next to or at either end of a ``layout`` piece."""
+    ends, pos = set(), 0
+    for piece in config.layout:
+        pos = text.index(piece, pos)
+        ends.update(range(pos - 1, pos + 2))
+        pos += len(piece)
+        ends.update(range(pos - 1, pos + 2))
+    positions = set(range(0, len(text), max(1, len(text) // budget))) | (ends & set(range(len(text))))
+    for i in sorted(positions):
+        char = EDIT_CHARS[i % len(EDIT_CHARS)]
+        yield from (text[:i] + text[i + 1:], text[:i] + char + text[i + 1:], text[:i] + char + text[i:])
+
+
+@pytest.mark.parametrize("name", LAYOUT_CONFIGS)
+def test_layout_reader_agrees_with_the_general_reader_on_single_edits(name):
+    config, budget = LAYOUT_CONFIGS[name]
+    for word in _layout_words(name):
+        text = run_pipeline(word, config).to_json()
+        assert isinstance(_both_readers_agree(text)[0], Ledger)
+        outcomes = {type(_both_readers_agree(mutant)[0]) for mutant in _edits(text, config, budget)}
+        assert outcomes == {str, Ledger}  # some edits leave a ledger, such as an escape that names the same word
+
+
+def _reorder(text, first, second):
+    """``text`` with the top-level fields ``first`` and ``second``, adjacent in that order, swapped."""
+    start, middle = text.index(f'\n  "{first}": '), text.index(f'\n  "{second}": ')
+    end = text.index(",\n  ", middle) if second != "decoded" else text.rindex("\n}")
+    return text[:start] + text[middle:end] + "," + text[start:middle - 1] + text[end:]
+
+
+@pytest.mark.parametrize("name", LAYOUT_CONFIGS)
+def test_layout_reader_agrees_with_the_general_reader_on_rewritten_texts(name):
+    config, _ = LAYOUT_CONFIGS[name]
+    for word in _layout_words(name):
+        text = run_pipeline(word, config).to_json()
+        data = json.loads(text)
+        lam = text.index('"value": ') + len('"value": ')
+        texts = [
+            json.dumps(data),
+            json.dumps(data, separators=(",", ":")),
+            json.dumps(data, indent=2),
+            json.dumps(data, indent=2, ensure_ascii=False),
+            json.dumps(dict(reversed(data.items())), indent=2),
+            _reorder(text, "word", "code"),
+            _reorder(text, "realized", "decoded"),
+            text.replace('\n  "word": ', '\n  "word": "zz",\n  "word": ', 1),
+            text.replace('\n    "value": ', '\n    "value": [],\n    "value": ', 1),
+            text.replace('\n  "decoded": ', '\n  "decoded": "zz",\n  "decoded": ', 1),
+            text[:lam] + "[" * 100_000 + text[lam:],
+            text.replace(f'"word": {json.dumps(word)}', '"word": null', 1),
+            text.replace(f'"decoded": {json.dumps(word)}', '"decoded": ["ab"]', 1),
+        ]
+        texts += [text + tail for tail in ("\n", " \t\r\n ", "\n\n\n", " ", "x", "\nx", "\n}", "0", "\x00", "\xa0")]
+        outcomes = [_both_readers_agree(other)[0] for other in texts]
+        read = [True] * 7 + [False] * 6 + [True] * 4 + [False] * 6  # no-break space is not JSON whitespace
+        assert [isinstance(outcome, Ledger) for outcome in outcomes] == read
+        written = text.replace(f'"word": {json.dumps(word)}', f'"word": {json.dumps(word, ensure_ascii=False)}')
+        assert written != text or word.isascii()
+        assert _both_readers_agree(written)[0] == Ledger.from_json(text)
+
+
+def test_repeated_key_and_deep_nesting_give_the_general_messages():
+    text = run_pipeline("ab").to_json()
+    lam = text.index('"value": ') + len('"value": ')
+    cases = {
+        text.replace('\n    "value": ', '\n    "value": [],\n    "value": ', 1): "repeated key 'value'",
+        text[:lam] + "[" * 100_000 + text[lam:]: "not valid JSON: maximum recursion depth exceeded",
+    }
+    for other, message in cases.items():
+        with pytest.raises(LedgerError) as info:
+            Ledger.from_json(other)
+        assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("name", LAYOUT_CONFIGS)
+def test_canonical_text_is_read_without_parsing_the_document(name, monkeypatch):
+    config, _ = LAYOUT_CONFIGS[name]
+    texts = [run_pipeline(word, config).to_json() for word in _layout_words(name)]
+    Ledger.from_json(texts[0])  # the config's block, parsed once
+    calls = []
+    monkeypatch.setattr(ledger_module, "read_json", lambda text: calls.append(text))
+    for text in texts:
+        expected = Ledger.from_dict(json.loads(text))
+        assert Ledger.from_json(text) == Ledger.from_json(text + "\n") == expected
+    assert calls == []

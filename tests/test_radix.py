@@ -197,6 +197,11 @@ EDGE_STRINGS = [
     ("٧", False, False, False),  # ARABIC-INDIC DIGIT SEVEN
     ("７", False, False, False),  # FULLWIDTH DIGIT SEVEN
     ("²", False, False, False),  # SUPERSCRIPT TWO: str.isdigit() is true
+    ("٣", False, False, False),  # ARABIC-INDIC DIGIT THREE
+    ("①", False, False, False),  # CIRCLED DIGIT ONE: str.isdigit() is true
+    ("𝟘", False, False, False),  # MATHEMATICAL DOUBLE-STRUCK DIGIT ZERO: str.isdigit() is true
+    ("1²", False, False, False),
+    ("-①", True, False, False),
     ("7.0", False, False, False),
     ("0x7", False, False, False),
     ("7/1", True, False, False),
