@@ -18,7 +18,9 @@ v1, so ``ledger.py`` alone writes and reads it.
 
 Sums, negations and products build each coefficient once, from ints, and
 run no ``Fraction`` operator: ``_coefficient`` puts a numerator over a
-positive denominator with one gcd.  A sum puts the cross products of the
+positive denominator with one gcd, writing ``Fraction``'s two slots, whose
+names are checked once at import (``Fraction(n, d)`` builds it where they
+differ).  A sum puts the cross products of the
 numerators over the product of the denominators, a monomial factor
 multiplies numerators and denominators, and a negation flips the
 numerator's sign (``_negated``, which needs no gcd).  Monomial powers are
@@ -345,6 +347,15 @@ def _negated(c: Fraction) -> Fraction:
     value = object.__new__(Fraction)
     value._numerator, value._denominator = -c.numerator, c.denominator
     return value
+
+
+def _builders(slots) -> tuple:
+    """``_coefficient`` and ``_negated`` for a ``Fraction`` with these ``__slots__``: the slot writes above where
+    they are the two that CPython 3.6-3.13 names, and ``Fraction``'s own constructor and negation otherwise."""
+    return (_coefficient, _negated) if slots == ("_numerator", "_denominator") else (Fraction, Fraction.__neg__)
+
+
+_coefficient, _negated = _builders(getattr(Fraction, "__slots__", None))
 
 
 def _numerators(terms: dict) -> tuple[int, dict[int, int]]:

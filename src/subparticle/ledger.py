@@ -8,25 +8,35 @@ lose precision; hyperreals travel as ``[exponent, numerator, denominator]``
 triples in descending exponent order, and the zero hyperreal is exactly
 ``[]``.
 
-Format v1 fixes the shape of every field, so ``Ledger.to_json`` writes the
-document by that layout and is the one writer of ledger text; ``_document``
-holds the fixed text around the fields.  ``Ledger.from_json`` compares a text
-in place with its config's ``layout``, the writer's text cut where a run's
-own texts go, and decodes and checks only those; any other text goes to
+Format v1 fixes the shape of every field, and a run's ledger states its
+code six times: as ``code``, as ``sequence_head``, as the ``lambda``
+numerator, on the intermediate count slot and on the intermediate and
+realized bundled slots.  So a config's ``layout`` is the text of its runs,
+cut at the word, at ``decoded`` and at those six places, with a second cut
+for the empty word's shape, code 0.  ``Ledger.to_json`` joins the pieces
+with the word's text, one decimal text of the code and ``decoded``'s text
+when the ledger holds a run's fields for its code (``_is_run``), and
+``_written``, the every-entry writer, writes any other ledger and the
+layout itself.  ``Ledger.from_json`` compares a text with the pieces in
+place, decodes the word and ``decoded``, checks the first copy of the code
+as a canonical natural and the other five against it, and builds the run's
+fields from the code (``_run``); any other text goes to
 ``Ledger.from_dict(read_json(text))``, and both give the same ledgers and
 messages.  ``read_json`` is the one reader of JSON text, ``--config`` files
 included.  This module alone knows the triple form: ``_hyperreal_json``
 writes a hyperreal and ``_hyperreal`` reads one back over the config's
-checked base, refusing any JSON value but a list; a one-term
-value, such as the entries a run moves, is written with one f-string.  The
-``config`` object is its config's constant text (``Config.block``), and a
-run's three vector fields are its config's constants (``Config.table``) but
-for the slots the run moves, so ``_vector_json`` and ``_parse_vector`` write
-or read only those slots when every other one holds its own entry exactly,
-and every entry otherwise.  ``json.dumps(ledger.to_dict(), indent=2)`` equals
-``ledger.to_json()`` byte for byte.  ``Config.from_dict`` keeps its last 64
-configs, keyed by five settings of exact type, so ledgers share them.  The
-bundled sign is ``config.bundle_sign``: a ledger writes it as text only.
+checked base, refusing any JSON value but a list; a one-term value, such as
+the entries a run moves, is written with one f-string.  The ``config``
+object is its config's constant text (``Config.block``), and a run's three
+vector fields are its config's constants (``Config.table``) but for the
+slots the run moves, so ``_parse_vector`` reads only those slots when every
+other one holds its own JSON value exactly, and every entry otherwise.
+``json.dumps(ledger.to_dict(), indent=2)`` equals ``ledger.to_json()`` byte
+for byte.  ``Config.from_dict`` keeps its last 64 configs, keyed by five
+settings of exact type, so ledgers share them; each holds its ``table``,
+``block`` and ``layout`` once it has written or read a ledger, about 1.4 MB
+at 4096 dims.  The bundled sign is ``config.bundle_sign``: a ledger writes
+it as text only.
 """
 
 from __future__ import annotations
@@ -73,8 +83,9 @@ class Config:
     of the bundled coordinate, looked up once by ``Ultrasubparticle.sign``.
     ``table`` holds its ledgers' three vector fields as a run leaves them
     (see ``_Vector``), built on the first ledger the config writes or reads;
-    slots share one text and one JSON value per distinct entry (<= 4).
-    ``block`` is the settings' text in each of its ledgers, built likewise."""
+    slots share one JSON value per distinct entry (<= 4).  ``block`` is the
+    settings' text in each of its ledgers, and ``layout`` the text of its
+    runs' ledgers, built likewise."""
 
     base: int = 10
     dims: int = 8
@@ -118,13 +129,18 @@ class Config:
                 f'    "quality_signs": "{self.quality_signs}"\n  }}')
 
     @cached_property
-    def layout(self) -> tuple[str, ...]:
-        """The text of each of its ledgers, cut where a run's own texts go: the word, the code,
-        ``sequence_head``, ``lambda``, the moved slots of the ``table`` vectors in order, and ``decoded``.  It is
-        ``to_json``'s text with ``_CUT`` in those places, from the same ``block`` and ``table`` texts."""
-        vectors = [_vector_text([_CUT if slot in vector.moved else text for slot, text in enumerate(vector.texts)])
-                   for vector in self.table]
-        return tuple(_document(self, _CUT, _CUT, _CUT, *vectors, _CUT).split(_CUT))
+    def layout(self) -> tuple[str, tuple[str, ...], str, str]:
+        """The text of a run's ledger, cut where the run's own texts go: ``(head, pieces, empty, tail)``.  The
+        ledger of a run of code ``c > 0`` is ``head + word + to_decimal(c).join(pieces) + decoded + tail``, with
+        the word's and ``decoded``'s JSON texts, and that of the empty word's run, code 0, is
+        ``head + word + empty + decoded + tail``.  Both are ``_written``'s texts of ``_run``'s fields with ``_CUT``
+        for the word and ``decoded``.  The seven pieces are cut at marker code 2, whose digit no other text
+        between those two holds (they hold only 0s and 1s), at its six places: ``code``, ``sequence_head``, the
+        ``lambda`` numerator, the intermediate count slot, and the intermediate and realized bundled slots, after
+        their sign."""
+        head, body, tail = _written(Ledger(self, "", 2, *_run(self, 2), ""), lambda _: _CUT).split(_CUT)
+        empty = _written(Ledger(self, "", 0, *_run(self, 0), ""), lambda _: _CUT).split(_CUT)[1]
+        return head, tuple(body.split("2")), empty, tail
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _CONFIG_KEYS}
@@ -168,19 +184,14 @@ class Ledger:
         return read_json(self.to_json())
 
     def to_json(self) -> str:
-        """The document, written field by field in format v1's layout."""
+        """The document in format v1's layout: a run's ledger through its config's ``layout``, with one decimal
+        text of its code, and any other ledger with every entry written."""
         check_natural(self.code, "code")
-        config, count = self.config, self.count
-        infinite, degenerate = ("true" if flag else "false" for flag in (count.is_infinite, count.is_degenerate))
-        ultra, intermediate, realized = config.table
-        return _document(
-            config, encode_basestring_ascii(self.word), f'"{to_decimal(self.code)}"',
-            f'{{\n    "value": {_hyperreal_json(count.value)},\n'
-            f'    "infinite": {infinite},\n'
-            f'    "degenerate": {degenerate}\n  }}',
-            _vector_json(self.ultrasubparticle, ultra), _vector_json(self.intermediate, intermediate),
-            _vector_json(self.realized, realized), encode_basestring_ascii(self.decoded),
-        )
+        if not _is_run(self):
+            return _written(self, encode_basestring_ascii)
+        head, pieces, empty, tail = self.config.layout
+        middle = to_decimal(self.code).join(pieces) if self.code else empty
+        return "".join((head, encode_basestring_ascii(self.word), middle, encode_basestring_ascii(self.decoded), tail))
 
     @classmethod
     def from_dict(cls, data) -> "Ledger":
@@ -214,7 +225,8 @@ class Ledger:
 
     @classmethod
     def from_json(cls, text: str) -> "Ledger":
-        """The ledger of ``text``: read in its config's layout if it is in it, else parsed by ``from_dict``."""
+        """The ledger of ``text``: read through its config's ``layout`` if it is a run's text, else parsed by
+        ``from_dict``."""
         ledger = _read_layout(cls, text)
         return cls.from_dict(read_json(text)) if ledger is None else ledger
 
@@ -254,20 +266,69 @@ def _listed(keys) -> str:
     return f"[{', '.join(map(brief, sorted(keys, key=repr)))}]"
 
 
-# Format v1's text up to the config object.  ``_document`` writes the rest of the text around a ledger's fields,
-# the one place it is written: ``to_json`` puts a run's texts in it, and ``Config.layout`` cuts it at ``_CUT``,
-# which no ledger text holds, since JSON escapes every control character in a string.
+# Format v1's text up to the config object.  ``_written`` writes every ledger text that is not a run's, and
+# ``Config.layout`` cuts its text of a run at ``_CUT``, which no ledger text holds, since JSON escapes every
+# control character in a string.
 _HEAD = f'{{\n  "version": "{LEDGER_VERSION}",\n  "config": '
 _CUT = "\x00"
 
 
-def _document(config: Config, word: str, code: str, count: str, ultra: str, intermediate: str, realized: str,
-              decoded: str) -> str:
-    """A ledger's text from its fields' texts, ``code`` also ``sequence_head``'s; the config writes the rest."""
-    return (f'{_HEAD}{config.block},\n  "word": {word},\n  "code": {code},\n  "sequence_head": {code},\n'
-            f'  "lambda": {count},\n  "bundle_sign": "{config.quality_signs[config.bundle_coordinate - 3]}",\n'
-            f'  "ultrasubparticle": {ultra},\n  "intermediate": {intermediate},\n  "realized": {realized},\n'
-            f'  "decoded": {decoded}\n}}')
+def _written(ledger: Ledger, quote) -> str:
+    """A ledger's text with every entry written, the word and ``decoded`` as ``quote`` writes them."""
+    config, count, code = ledger.config, ledger.count, to_decimal(ledger.code)
+    infinite, degenerate = ("true" if flag else "false" for flag in (count.is_infinite, count.is_degenerate))
+    ultra, intermediate, realized = config.table
+    return (f'{_HEAD}{config.block},\n  "word": {quote(ledger.word)},\n  "code": "{code}",\n'
+            f'  "sequence_head": "{code}",\n  "lambda": {{\n    "value": {_hyperreal_json(count.value)},\n'
+            f'    "infinite": {infinite},\n    "degenerate": {degenerate}\n  }},\n'
+            f'  "bundle_sign": "{config.quality_signs[config.bundle_coordinate - 3]}",\n'
+            f'  "ultrasubparticle": {_vector_text(map(ultra.write, ledger.ultrasubparticle))},\n'
+            f'  "intermediate": {_vector_text(map(intermediate.write, ledger.intermediate))},\n'
+            f'  "realized": {_vector_text(map(realized.write, ledger.realized))},\n'
+            f'  "decoded": {quote(ledger.decoded)}\n}}')
+
+
+def _run(config: Config, code: int) -> tuple:
+    """A run's count and three vector fields for ``code``: the count ``code*H``, also on the intermediate count
+    slot, ``sign*code`` on both bundled slots, and the config's own objects on every other slot."""
+    ultra, intermediate, realized = config.table
+    slot, base = config.bundle_coordinate - 1, config.base
+    moved, bundled = list(intermediate.own), list(realized.own)
+    bundled[slot] = signed = _coefficient(config.bundle_sign * code, 1)
+    if code:
+        moved[1], moved[slot] = _trusted(base, {1: _coefficient(code, 1)}), _trusted(base, {0: signed})
+    else:
+        moved[1], moved[slot] = _trusted(base, {}), _trusted(base, {})
+    return Hypernatural(moved[1]), ultra.own, tuple(moved), tuple(bundled)
+
+
+def _is_term(value, exp: int, coeff: int) -> bool:
+    """True if ``value`` is the Hyperreal ``coeff * H**exp``, which is zero for ``coeff`` 0."""
+    if type(value) is not Hyperreal:
+        return False
+    terms = value._terms
+    return len(terms) == 1 and terms.get(exp) == coeff if coeff else not terms
+
+
+def _is_run(ledger: Ledger) -> bool:
+    """True if ``ledger`` holds ``_run``'s fields for its code, which its config's ``layout`` writes: each moved
+    entry of the value that ``_run`` puts there, and every other slot the config's own object."""
+    config, code, count = ledger.config, ledger.code, ledger.count
+    if type(config) is not Config or type(code) is not int or type(count) is not Hypernatural:
+        return False
+    ultra, intermediate, realized = config.table
+    own, entries, bundled = ultra.own, ledger.intermediate, ledger.realized
+    slot, signed = config.bundle_coordinate - 1, config.bundle_sign * code
+    if not (_is_term(count.value, 1, code) and type(entries) is tuple and len(entries) == len(own)
+            and _is_term(entries[1], 1, code) and _is_term(entries[slot], 0, signed)
+            and type(bundled) is tuple and len(bundled) == len(own) and type(bundled[slot]) is Fraction
+            and bundled[slot] == signed):
+        return False
+    entries, bundled = list(entries), list(bundled)
+    entries[1], entries[slot], bundled[slot] = own[1], own[slot], realized.own[slot]
+    unmoved = ledger.ultrasubparticle
+    return ((unmoved is own or type(unmoved) is tuple and len(unmoved) == len(own) and all(map(is_, unmoved, own)))
+            and all(map(is_, entries, own)) and all(map(is_, bundled, realized.own)))
 
 
 def _hyperreal_json(value: Hyperreal) -> str:
@@ -311,16 +372,16 @@ def _hyperreal(value, base: int) -> Hyperreal:
 
 
 # A vector field as every run leaves it (``Config.table``): its key, the slots a run moves, and the run's own
-# entry at every slot as an object, as ledger text and as a JSON value, shared by the slots of one object, and
-# the values' ``marshal`` bytes.  ``write`` and ``read`` give any other entry's text and object, and ``whole``
-# checks a field read entry by entry.
-_Vector = namedtuple("_Vector", "key moved own texts values marshalled write read whole")
+# entry at every slot as an object and as a JSON value, shared by the slots of one object, and the values'
+# ``marshal`` bytes.  ``write`` and ``read`` give any entry's text and object, and ``whole`` checks a field read
+# entry by entry.
+_Vector = namedtuple("_Vector", "key moved own values marshalled write read whole")
 
 
 def _vector(key, moved, own, write, read, whole) -> _Vector:
-    rows = {id(entry): (text := write(entry), read_json(text)) for entry in {id(e): e for e in own}.values()}
-    texts, values = map(list, zip(*(rows[id(entry)] for entry in own)))
-    return _Vector(key, moved, own, texts, values, marshal.dumps(values, 2), write, read, whole)
+    rows = {id(entry): read_json(write(entry)) for entry in {id(e): e for e in own}.values()}
+    values = [rows[id(entry)] for entry in own]
+    return _Vector(key, moved, own, values, marshal.dumps(values, 2), write, read, whole)
 
 
 def _parse_natural(value, field: str) -> int:
@@ -341,18 +402,6 @@ def _parse_count(value, base: int) -> Hypernatural:
     return count
 
 
-def _vector_json(entries, vector: _Vector) -> str:
-    """A vector field, one entry a line: the own texts with the moved entries in, if the others are own objects."""
-    _, moved, own, texts, _, _, write, _, _ = vector
-    probe, texts = list(entries), list(texts)
-    if len(probe) == len(own):
-        for slot in moved:
-            probe[slot], texts[slot] = own[slot], write(entries[slot])
-    if len(probe) != len(own) or not all(map(is_, probe, own)):
-        texts = map(write, entries)
-    return _vector_text(texts)
-
-
 def _vector_text(texts) -> str:
     return "[\n    " + ",\n    ".join(texts) + "\n  ]"
 
@@ -362,7 +411,7 @@ def _parse_vector(value, vector: _Vector) -> tuple:
     value item for item and type for type, and otherwise every entry read and the whole checked.  Their
     ``marshal`` bytes are compared: version 2 writes no back-references and only exact built-in types, so
     ``-1.0 == -1``, ``False == 0`` and a ``UserList`` equals a list, but none of them has the list's bytes."""
-    field, moved, own, _, values, marshalled, _, read, whole = vector
+    field, moved, own, values, marshalled, _, read, whole = vector
     if not isinstance(value, list) or len(value) != len(own):
         raise LedgerError(f"{field} must be a list of {len(own)} coordinates")
     probe, coords = value.copy(), list(own)
@@ -391,33 +440,40 @@ def _block_config(block: str) -> Config:
 
 
 def _read_layout(cls, text) -> Ledger | None:
-    """The ledger of a text in its config's layout, or None for any other text, never an error: the text
-    holds a config's ``block``, then each of its ``layout`` pieces in place with one JSON value between each
-    two, which ``from_dict``'s checks accept, and then only JSON whitespace.  Unmoved slots are the own objects,
-    as ``_parse_vector`` reads them when each holds its own JSON value."""
+    """The ledger of a run's text in its config's ``layout``, or None for any other text, never an error: the
+    text holds a config's ``block``, then the layout's pieces in place, a JSON string for the word and for
+    ``decoded``, one canonical natural's digits at each of the code's six places, and then only JSON whitespace.
+    Those are texts that ``from_dict``'s checks accept; the run's fields are built from the code, unmoved slots as
+    the config's own objects, as ``_parse_vector`` reads them when each holds its own JSON value."""
     try:
         if not text.startswith(_HEAD):
             return None
         config = _block_config(text[len(_HEAD):text.find("\n  }", len(_HEAD)) + 4])
-        *pieces, last = config.layout
-        values, pos = [], 0
-        for piece in pieces:
-            if not text.startswith(piece, pos):
+        head, (first, *pieces, last), empty, tail = config.layout
+        if not text.startswith(head):
+            return None
+        word, pos = _DECODER.raw_decode(text, len(head))
+        if text.startswith(empty, pos):
+            code, pos = 0, pos + len(empty)
+        else:
+            if not text.startswith(first, pos):
                 return None
-            value, pos = _DECODER.raw_decode(text, pos + len(piece))
-            values.append(value)
-        if not text.startswith(last, pos) or text[pos + len(last):].strip(" \t\n\r"):
+            start = pos + len(first)
+            digits = text[start:text.find('"', start)]
+            if digits == "0" or not is_decimal(digits, canonical=True):
+                return None
+            pos = start + len(digits)
+            for piece in pieces:  # each of the other five copies, compared in place
+                if not (text.startswith(piece, pos) and text.startswith(digits, pos + len(piece))):
+                    return None
+                pos += len(piece) + len(digits)
+            if not text.startswith(last, pos):
+                return None
+            code, pos = decimal_value(digits), pos + len(last)
+        decoded, pos = _DECODER.raw_decode(text, pos)
+        if not (isinstance(word, str) and isinstance(decoded, str) and text.startswith(tail, pos)) \
+                or text[pos + len(tail):].strip(" \t\n\r"):
             return None
-        word, code, head, count, *moved, decoded = values
-        if not isinstance(word, str) or not isinstance(decoded, str) or head != code:  # one number, one canonical text
-            return None
-        code, count, moved = _parse_natural(code, "code"), _parse_count(count, config.base), iter(moved)
-        vectors = []
-        for vector in config.table:
-            coords = list(vector.own)
-            for slot in vector.moved:
-                coords[slot] = vector.read(next(moved))
-            vectors.append(tuple(coords))
-        return cls(config, word, code, count, *vectors, decoded)
+        return cls(config, word, code, *_run(config, code), decoded)
     except (TypeError, ValueError, RecursionError):  # from_dict or read_json then gives its error, if any
         return None

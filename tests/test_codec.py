@@ -163,11 +163,13 @@ JOINED_ALPHABETS = {size: Alphabet("".join(chr(0x100 + i) for i in range(size)))
 @given(
     st.sampled_from(sorted(JOINED_ALPHABETS)),
     st.one_of(st.integers(min_value=0, max_value=3 * LEAF + 1), st.just(8000)),
-    st.randoms(use_true_random=False),
+    st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_encode_of_alphabets_past_36_symbols_or_of_one_matches_loop_reference(size, length, rng):
+def test_encode_of_alphabets_past_36_symbols_or_of_one_matches_loop_reference(size, length, seed):
+    # A seeded generator draws the symbols: drawing each of up to 8000 from Hypothesis would
+    # overrun its data buffer and fail the data_too_large health check on some seeds.
     alphabet = JOINED_ALPHABETS[size]
-    word = "".join(rng.choices(alphabet.symbols, k=length))
+    word = "".join(random.Random(seed).choices(alphabet.symbols, k=length))
     code = encode(word, alphabet)
     assert code == loop_encode(word, alphabet.symbols)
     assert decode(code, alphabet) == word

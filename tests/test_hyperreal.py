@@ -694,6 +694,22 @@ def test_coefficient_is_the_fraction_in_lowest_terms(numerator, denominator, com
             assert (built.numerator, built.denominator) == (expected.numerator, expected.denominator)
 
 
+def test_coefficients_come_from_the_constructor_where_fractions_slots_differ(monkeypatch):
+    assert hyperreal._coefficient is not Fraction  # this interpreter names the two slots
+    coefficient, negated = hyperreal._builders(("_num", "_den"))
+    assert (coefficient, negated) == (Fraction, Fraction.__neg__)
+    x = Hyperreal(10, {2: Fraction(2, 3), 1: 1, 0: Fraction(-5, 4), -1: 7})
+    dense = Hyperreal(10, {k: Fraction(k + 21, 3) for k in range(-20, 20)})  # products that pack
+    monomial = Hyperreal.monomial(10, Fraction(-2, 9), 3)
+    cases = lambda: (x + x, x - 1, -x, x * x, x**5, dense * dense, dense**3, monomial**-3, monomial * x)  # noqa: E731
+    expected = cases()
+    monkeypatch.setattr(hyperreal, "_coefficient", coefficient)
+    monkeypatch.setattr(hyperreal, "_negated", negated)
+    assert cases() == expected
+    for value in cases():
+        assert_lowest_terms(value)
+
+
 @settings(deadline=None)
 @example(0)
 @example(-1)

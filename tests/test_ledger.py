@@ -6,6 +6,7 @@ import json
 import random
 from collections import UserList
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ import subparticle.pipeline as pipeline
 from subparticle.cli import main
 from subparticle.codec import DEFAULT_ALPHABET
 from subparticle.engine import IntermediateSubparticle
-from subparticle.hyperreal import Hyperreal
+from subparticle.hyperreal import Hypernatural, Hyperreal, lambda_for_code
 from subparticle.ledger import LEDGER_VERSION, Config, Ledger, LedgerError
 from subparticle.pipeline import IntegrityError, recompute_decoded, run_pipeline, verify_ledger
 
@@ -644,13 +645,15 @@ def test_cached_rows_are_shared_and_built_only_for_ledgers():
     ultra, intermediate, realized = config.table
     assert [vector.moved for vector in config.table] == [(), (1, 3), (3,)]
     assert ultra.own is intermediate.own is config.particle.coords() and realized.own == (0,) * 4096
-    texts, lists = ultra.texts, ultra.values
-    assert intermediate.texts is texts and intermediate.values is lists and intermediate.marshalled is ultra.marshalled
-    assert len({id(text) for text in texts}) <= 4 and len({id(row) for row in lists}) <= 4
+    lists = ultra.values
+    assert intermediate.values is lists and intermediate.marshalled is ultra.marshalled
+    assert len({id(row) for row in lists}) <= 4
+    assert "layout" not in vars(config)
     document = json.loads(ledger.to_json())
+    assert "layout" in vars(config)  # built on the first ledger written
     for vector in config.table:
-        assert len(vector.texts) == len(vector.values) == 4096
-        assert vector.values == [json.loads(text) for text in vector.texts]
+        assert len(vector.values) == 4096
+        assert vector.values == [json.loads(vector.write(entry)) for entry in vector.own]
         unmoved = [slot for slot in range(4096) if slot not in vector.moved]
         assert [vector.values[slot] for slot in unmoved] == [document[vector.key][slot] for slot in unmoved]
 
@@ -895,11 +898,17 @@ def _layout_words(name):
     return words + ['é"a\\\x01 b'] if name == "escaped alphabet" else words
 
 
+def _cut(text, config):
+    """The ``layout`` pieces a run's text holds, in order: the empty word's cut for code 0, else the other."""
+    head, pieces, empty, tail = config.layout
+    return (head, empty, tail) if json.loads(text)["code"] == "0" else (head, *pieces, tail)
+
+
 def _edits(text, config, budget):
     """A deletion, a substitution and an insertion at each position of a stride that gives about ``budget``
-    positions over the whole text, and at every position next to or at either end of a ``layout`` piece."""
+    positions over the whole text, and at every position next to or at either end of a piece of its cut."""
     ends, pos = set(), 0
-    for piece in config.layout:
+    for piece in _cut(text, config):
         pos = text.index(piece, pos)
         ends.update(range(pos - 1, pos + 2))
         pos += len(piece)
@@ -958,6 +967,22 @@ def test_layout_reader_agrees_with_the_general_reader_on_rewritten_texts(name):
         assert _both_readers_agree(written)[0] == Ledger.from_json(text)
 
 
+# The same digits at all six of the code's places: only a canonical natural
+# other than 0 is read through the template, and the readers must agree.
+CODE_COPIES = {"30": True, "1" * 5000: True, "029": False, "0": False, "-29": False, "+29": False, "29.0": False,
+               "2_9": False, "\u0662\u0669": False, " 29": False, "29 ": False, "": False}
+
+
+@pytest.mark.parametrize("name", LAYOUT_CONFIGS)
+def test_layout_reader_agrees_with_the_general_reader_on_every_copy_of_the_code_rewritten(name):
+    config, _ = LAYOUT_CONFIGS[name]
+    run_pipeline("ab", config).to_json()
+    head, pieces, _, tail = config.layout
+    for digits, read in CODE_COPIES.items():
+        text = "".join((head, '"ab"', digits.join(pieces), '"ab"', tail))
+        assert isinstance(_both_readers_agree(text)[0], Ledger) is read, digits
+
+
 def test_repeated_key_and_deep_nesting_give_the_general_messages():
     text = run_pipeline("ab").to_json()
     lam = text.index('"value": ') + len('"value": ')
@@ -971,14 +996,72 @@ def test_repeated_key_and_deep_nesting_give_the_general_messages():
         assert str(info.value).startswith(message)
 
 
+def _refuse(*args):
+    raise AssertionError("a run's text went to the general writer or reader")
+
+
 @pytest.mark.parametrize("name", LAYOUT_CONFIGS)
 def test_canonical_text_is_read_without_parsing_the_document(name, monkeypatch):
     config, _ = LAYOUT_CONFIGS[name]
-    texts = [run_pipeline(word, config).to_json() for word in _layout_words(name)]
-    Ledger.from_json(texts[0])  # the config's block, parsed once
-    calls = []
-    monkeypatch.setattr(ledger_module, "read_json", lambda text: calls.append(text))
-    for text in texts:
+    Ledger.from_json(run_pipeline("", config).to_json())  # the config's layout built and its block parsed, once
+    monkeypatch.setattr(ledger_module, "read_json", _refuse)
+    monkeypatch.setattr(ledger_module, "_written", _refuse)
+    for word in _layout_words(name) + ["".join(random.Random(8000).choices(config.alphabet, k=8000))]:
+        ledger = run_pipeline(word, config)
+        text = ledger.to_json()
         expected = Ledger.from_dict(json.loads(text))
-        assert Ledger.from_json(text) == Ledger.from_json(text + "\n") == expected
-    assert calls == []
+        assert Ledger.from_json(text) == Ledger.from_json(text + "\n") == expected == ledger
+
+
+# ``to_json`` writes a run's ledger through its config's ``layout`` and any
+# other ledger with every entry written.  Both must give the text the
+# every-entry writer gives, which the naive document pins byte for byte.
+def _every_entry_text(ledger):
+    return ledger_module._written(ledger, encode_basestring_ascii)
+
+
+@pytest.mark.parametrize("name", LAYOUT_CONFIGS)
+def test_run_ledgers_are_written_through_the_layout_as_the_every_entry_writer_writes_them(name, monkeypatch):
+    config, _ = LAYOUT_CONFIGS[name]
+    ledgers = [run_pipeline(word, config) for word in ("", "ab", "".join(random.Random(8).choices(config.alphabet, k=8000)))]
+    expected = [_every_entry_text(ledger) for ledger in ledgers]
+    monkeypatch.setattr(ledger_module, "_written", _refuse)
+    assert [ledger.to_json() for ledger in ledgers] == expected
+
+
+def _off_the_run_shape(ledger):
+    """Ledgers one field away from a run's, by the change each makes."""
+    config, own = ledger.config, ledger.config.particle.coords()
+    base, slot, count = config.base, config.bundle_coordinate - 1, ledger.count.value
+    bundled, replace = ledger.realized[slot], dataclasses.replace
+
+    def put(field, index, value):
+        entries = list(getattr(ledger, field))
+        entries[index] = value
+        return replace(ledger, **{field: tuple(entries)})
+
+    return {
+        "count plus 1": replace(ledger, count=Hypernatural(count + 1)),
+        "count of the next code": replace(ledger, count=lambda_for_code(ledger.code + 1, base)),
+        "count slot plus 1": put("intermediate", 1, count + 1),
+        "equal naming slot": put("intermediate", 0, Hyperreal.zero(base)),
+        "equal eps": put("ultrasubparticle", 2, Hyperreal(base, dict(own[2].terms))),
+        "equal realized zero": put("realized", 0, Fraction(0)),
+        "realized bundled plus 1/2": put("realized", slot, bundled + Fraction(1, 2)),
+        "realized bundled negated, minus 1": put("realized", slot, -bundled - 1),
+        "realized bundled as an int": put("realized", slot, int(bundled)),
+        "intermediate as a list": replace(ledger, intermediate=list(ledger.intermediate)),
+    }
+
+
+@pytest.mark.parametrize("name", LAYOUT_CONFIGS)
+@pytest.mark.parametrize("word", ["", "ab"])
+def test_ledgers_off_the_run_shape_have_every_entry_written(name, word, monkeypatch):
+    config, _ = LAYOUT_CONFIGS[name]
+    calls = []
+    written = ledger_module._written
+    monkeypatch.setattr(ledger_module, "_written", lambda *args: calls.append(args) or written(*args))
+    for case, ledger in _off_the_run_shape(run_pipeline(word, config)).items():
+        calls.clear()
+        assert ledger.to_json() == json.dumps(ledger_document(ledger), indent=2), case
+        assert len(calls) == 1, case
